@@ -314,17 +314,34 @@ class CoalescentData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CoalescentData":
-        ct = np.asarray(obj["coal_times"], dtype=float)
-        sc = np.asarray(obj["samp_counts"], dtype=int)
+        if not isinstance(obj, dict):
+            raise ValidationError("coalescent data JSON must be an object")
+        ct = _json_numbers(obj, "coal_times", float)
+        sc = _json_numbers(obj, "samp_counts", int)
         # tolerate the t_n = 0 origin being written explicitly
         if len(ct) == sc.sum() and len(ct) and ct[0] == 0.0:
             ct = ct[1:]
-        return cls(ct, np.asarray(obj["samp_times"], dtype=float), sc)
+        return cls(ct, _json_numbers(obj, "samp_times", float), sc)
 
     @classmethod
     def from_file(cls, path) -> "CoalescentData":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _json_numbers(obj: dict, key: str, kind: type) -> np.ndarray:
+    """The list of numbers under ``key``; ValidationError names a missing or
+    mistyped key.  ``kind`` int admits integers only, float any number."""
+    if key not in obj:
+        raise ValidationError(f"coalescent data JSON lacks the key {key!r}")
+    vals = obj[key]
+    allowed = int if kind is int else (int, float)
+    if not isinstance(vals, list) or not all(
+        isinstance(v, allowed) and not isinstance(v, bool) for v in vals
+    ):
+        noun = "integers" if kind is int else "numbers"
+        raise ValidationError(f"coalescent data key {key!r} must be a list of {noun}")
+    return np.asarray(vals, dtype=kind)
 
 
 def _lineage_walk(coal_times, samp_times, samp_counts):

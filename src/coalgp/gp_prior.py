@@ -77,8 +77,23 @@ class TridiagPrecision:
         return out
 
 
+class _MarkovKernel:
+    """Scalar front end shared by the kernels' array conditional moments."""
+
+    def cond_moments(self, t, left, right):
+        """Mean and variance of f(t) given its bracketing known values.
+
+        ``left``/``right`` are (time, value) pairs or None; the Markov
+        property makes these two points sufficient.
+        """
+        left_t, left_f = left if left is not None else (-math.inf, 0.0)
+        right_t, right_f = right if right is not None else (math.inf, 0.0)
+        mean, var = self.cond_moments_many(t, left_t, left_f, right_t, right_f)
+        return float(mean), float(var)
+
+
 @dataclass(frozen=True)
-class BrownianMotionKernel:
+class BrownianMotionKernel(_MarkovKernel):
     """Brownian motion, free initial level with variance init_var/theta."""
 
     theta: float = 1.0
@@ -125,31 +140,28 @@ class BrownianMotionKernel:
         u = self._shifted(times)
         return np.minimum.outer(u, u) / self.theta
 
-    def cond_moments(self, t, left, right):
+    def cond_moments_many(self, t, left_t, left_f, right_t, right_f):
         """Mean and variance of f(t) given its bracketing known values.
 
-        ``left``/``right`` are (time, value) pairs or None; the Markov
-        property makes these two points sufficient.
+        Every argument may be an array (elementwise).  A missing left
+        neighbour has time -inf and stands for the pinned start of the
+        shifted motion (u = 0, f = 0); a missing right neighbour has time
+        +inf.  The values of missing neighbours must be 0.
         """
         u = t + self.init_var
-        if left is None:
-            left = (-self.init_var, 0.0)  # the pinned start of the shifted motion
-            if u <= 0:
-                raise EvaluationError("time precedes the pinned start of the motion")
-        tl, fl = left
-        ul = tl + self.init_var
-        if right is None:
-            return fl, (u - ul) / self.theta
-        tr, fr = right
-        ur = tr + self.init_var
-        w = (u - ul) / (ur - ul)
-        mean = fl + w * (fr - fl)
-        var = (u - ul) * (ur - u) / ((ur - ul) * self.theta)
+        ul = np.maximum(left_t + self.init_var, 0.0)
+        if np.any(u <= ul):
+            raise EvaluationError("time precedes the pinned start of the motion")
+        ur = right_t + self.init_var
+        gap_l, gap_r = u - ul, ur - u
+        w = gap_l / (ur - ul)  # 0 without a right neighbour
+        mean = left_f + w * (right_f - left_f)
+        var = gap_l / ((1.0 + gap_l / gap_r) * self.theta)
         return mean, var
 
 
 @dataclass(frozen=True)
-class OrnsteinUhlenbeckKernel:
+class OrnsteinUhlenbeckKernel(_MarkovKernel):
     """Stationary OU process: variance 1/theta, mean-reversion rate phi."""
 
     theta: float = 1.0
@@ -184,25 +196,18 @@ class OrnsteinUhlenbeckKernel:
         t = np.asarray(times, dtype=float)
         return np.exp(-self.phi * np.abs(np.subtract.outer(t, t))) / self.theta
 
-    def cond_moments(self, t, left, right):
-        if left is None and right is None:
-            return 0.0, 1.0 / self.theta
-        if right is None:
-            tl, fl = left
-            rho = math.exp(-self.phi * (t - tl))
-            return rho * fl, -math.expm1(-2.0 * self.phi * (t - tl)) / self.theta
-        if left is None:
-            tr, fr = right
-            rho = math.exp(-self.phi * (tr - t))
-            return rho * fr, -math.expm1(-2.0 * self.phi * (tr - t)) / self.theta
-        tl, fl = left
-        tr, fr = right
-        rl = math.exp(-self.phi * (t - tl))
-        rr = math.exp(-self.phi * (tr - t))
-        dl = -math.expm1(-2.0 * self.phi * (t - tl))
-        dr = -math.expm1(-2.0 * self.phi * (tr - t))
+    def cond_moments_many(self, t, left_t, left_f, right_t, right_f):
+        """Mean and variance of f(t) given its bracketing known values.
+
+        Elementwise over arrays.  A missing neighbour has time -inf (left) or
+        +inf (right) and value 0; the formulas need no special case, as its
+        correlation exp(-phi * inf) is 0.
+        """
+        gap_l, gap_r = t - left_t, right_t - t
+        rl, rr = np.exp(-self.phi * gap_l), np.exp(-self.phi * gap_r)
+        dl, dr = -np.expm1(-2.0 * self.phi * gap_l), -np.expm1(-2.0 * self.phi * gap_r)
         den = 1.0 - (rl * rr) ** 2
-        mean = (rl * dr * fl + rr * dl * fr) / den
+        mean = (rl * dr * left_f + rr * dl * right_f) / den
         var = dl * dr / (den * self.theta)
         return mean, var
 
@@ -260,10 +265,6 @@ class LatentField:
         if np.any(np.diff(self.times) <= 0):
             raise EvaluationError("field times must be strictly increasing")
 
-    @classmethod
-    def empty(cls) -> "LatentField":
-        return cls()
-
     @property
     def size(self) -> int:
         return len(self.times)
@@ -306,6 +307,18 @@ class LatentField:
         self.times = self._removed(self.times, index)
         self.values = self._removed(self.values, index)
         self.is_coal = self._removed(self.is_coal, index)
+
+    def splice(self, remove: np.ndarray, at: np.ndarray, times: np.ndarray, values: np.ndarray):
+        """Delete the points at indices ``remove`` and insert latent points
+        (``times``, ``values``) before the current indices ``at`` (ascending),
+        in one insert and one delete per array.  Each new time must lie
+        strictly between the field times around its index, so the field
+        stays sorted.
+        """
+        moved = remove + np.searchsorted(at, remove, side="right")
+        self.times = np.delete(np.insert(self.times, at, times), moved)
+        self.values = np.delete(np.insert(self.values, at, values), moved)
+        self.is_coal = np.delete(np.insert(self.is_coal, at, False), moved)
 
     def latent_times(self) -> np.ndarray:
         return self.times[~self.is_coal]

@@ -26,10 +26,6 @@ def sigmoid(f):
     return expit(f)
 
 
-def log_sigmoid(f):
-    return log_expit(f)
-
-
 def ne_from_f(f, lam: float):
     """Population size under the sigmoidal link: (1 + exp(-f)) / lam.
 

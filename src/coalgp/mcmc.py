@@ -1,12 +1,21 @@
 """Augmented-posterior MCMC for the sigmoidal-GP coalescent model.
 
 One iteration cycles five invariant kernels in a fixed order: a
-reversible-jump add/remove pass over every inter-event interval (latent point
-counts), a Metropolis relocation of latent points, one elliptical slice
+reversible-jump add/remove proposal in every inter-event interval (latent
+point counts), a Metropolis relocation of latent points, one elliptical slice
 transition on the full f-vector, a Gibbs draw of the GP precision theta, and
 a reflected-uniform Metropolis step on the thinning bound lambda.  All
 acceptance ratios are evaluated in log space; any proposal whose log ratio is
 non-finite is rejected.
+
+The reversible-jump sweep is block-parallel.  A block is the run of intervals
+between two consecutive coalescent events.  No RJ move touches the f-values
+at coalescent events, and given them the GP (being Markov) and the augmented
+likelihood (a product over intervals) make the latent points of different
+blocks conditionally independent.  Pass k therefore proposes, scores and
+applies the moves of the k-th interval of every block with a handful of array
+operations and one splice of the field.  The number of passes is the most
+intervals any block holds: 1 for isochronous data.
 """
 
 from __future__ import annotations
@@ -177,24 +186,42 @@ class ChainOutput:
         )
 
 
-def rj_log_accept_add(length: float, lam: float, factor: float, m: int, f_star: float) -> float:
+def rj_log_accept_add(length, lam, factor, m, f_star):
     """Log acceptance ratio for inserting a latent point into an interval
-    currently holding m of them."""
+    currently holding m of them (elementwise over arrays)."""
     with np.errstate(divide="ignore"):
-        return float(np.log(length * lam * factor)) - math.log(m + 1) - _softplus(f_star)
+        return np.log(length * lam * factor) - np.log(m + 1) - np.logaddexp(0.0, f_star)
 
 
-def rj_log_accept_remove(length: float, lam: float, factor: float, m: int, f_removed: float) -> float:
+def rj_log_accept_remove(length, lam, factor, m, f_removed):
     """Log acceptance ratio for deleting one of the m latent points of an
-    interval; exact inverse of the matching insertion."""
+    interval; exact inverse of the matching insertion (elementwise)."""
     with np.errstate(divide="ignore"):
-        return math.log(m) + _softplus(f_removed) - float(np.log(length * lam * factor))
+        return np.log(m) + np.logaddexp(0.0, f_removed) - np.log(length * lam * factor)
 
 
-def _latent_indices_in(field: LatentField, grid: IntervalGrid, j: int) -> np.ndarray:
-    lo = int(np.searchsorted(field.times, grid.starts[j], side="right"))
-    hi = int(np.searchsorted(field.times, grid.ends[j], side="right"))
-    return lo + np.flatnonzero(~field.is_coal[lo:hi])
+def _accept(log_a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Metropolis accept flags, one uniform per ratio; a NaN ratio rejects."""
+    with np.errstate(divide="ignore"):
+        return np.log(rng.random(len(log_a))) < log_a
+
+
+def rj_passes(grid: IntervalGrid) -> list[np.ndarray]:
+    """Interval indices of the blockwise RJ passes, in pass order.
+
+    A block is the run of intervals sharing ``grid.event_index``: the span
+    between two coalescent events, cut by sampling events.  Pass k holds the
+    k-th live interval (positive length and pair count) of every block, in
+    time order, so each block's intervals are visited in time order and no
+    pass holds two intervals of one block.
+    """
+    live = np.flatnonzero((grid.coal_factor > 0) & (grid.lengths > 0))
+    if len(live) == 0:
+        return []
+    block = grid.event_index[live]
+    first = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
+    rank = np.arange(len(live)) - np.repeat(first, np.diff(np.r_[first, len(live)]))
+    return [live[rank == k] for k in range(int(rank.max()) + 1)]
 
 
 def rj_update(
@@ -204,48 +231,68 @@ def rj_update(
     rng: np.random.Generator,
     counters: dict | None = None,
 ) -> ChainState:
-    """One add-or-remove proposal per interval, in time order.
+    """One add-or-remove proposal per live interval, block-parallel.
 
-    Insertions draw the location uniformly and its f-value from the GP
-    conditional; removals pick uniformly among the interval's latent points.
-    Removal from an empty interval is an automatic reject.
+    Each pass of :func:`rj_passes` makes the proposals of its intervals at
+    once, as array operations on the field as it stood before the pass, and
+    applies the accepted ones in one splice (the module docstring says why
+    blocks may move together).  Insertions draw the location uniformly and
+    its f-value from the GP conditional given the bracketing field points;
+    removals pick uniformly among the interval's latent points, which are
+    contiguous in the field.  A location that collides with a field time,
+    and a removal from an empty interval, are automatic rejects; the
+    attempt counters include them.
     """
     kern = kernel.with_theta(state.theta)
-    field = state.field
-    for j in range(grid.n_intervals):
-        factor = float(grid.coal_factor[j])
-        length = float(grid.ends[j] - grid.starts[j])
-        if factor == 0.0 or length <= 0.0:
-            continue
-        m = int(state.latent_count[j])
-        if rng.random() < 0.5:
-            if counters is not None:
-                counters["rj_add"][1] += 1
-            x = rng.uniform(grid.starts[j], grid.ends[j])
-            pos = int(np.searchsorted(field.times, x))
-            if pos < field.size and field.times[pos] == x:
-                continue
-            f_star = conditional_draw_at(field, x, kern, rng)
-            log_a = rj_log_accept_add(length, state.lam, factor, m, f_star)
-            if math.log(rng.random()) < log_a:
-                field.insert(x, f_star, is_coal=False)
-                state.latent_count[j] = m + 1
-                if counters is not None:
-                    counters["rj_add"][0] += 1
-        else:
-            if counters is not None:
-                counters["rj_remove"][1] += 1
-            if m == 0:
-                continue
-            idx = _latent_indices_in(field, grid, j)
-            pick = int(idx[rng.integers(m)])
-            log_a = rj_log_accept_remove(length, state.lam, factor, m, float(field.values[pick]))
-            if math.log(rng.random()) < log_a:
-                field.remove(pick)
-                state.latent_count[j] = m - 1
-                if counters is not None:
-                    counters["rj_remove"][0] += 1
+    for js in rj_passes(grid):
+        _rj_pass(state, grid, kern, rng, js, counters)
     return state
+
+
+def _rj_pass(state, grid, kern, rng, js, counters):
+    field, count = state.field, state.latent_count
+    is_add = rng.random(len(js)) < 0.5
+    add, rem = js[is_add], js[~is_add]
+    if counters is not None:
+        counters["rj_add"][1] += len(add)
+        counters["rj_remove"][1] += len(rem)
+
+    x = rng.uniform(grid.starts[add], grid.ends[add])
+    pos = np.searchsorted(field.times, x)
+    # a location on a field time, or on the interval's open start, is rejected
+    on_point = (pos < field.size) & (field.times[np.minimum(pos, field.size - 1)] == x)
+    fresh = ~on_point & (x > grid.starts[add])
+    add, x, pos = add[fresh], x[fresh], pos[fresh]
+    has_l, has_r = pos > 0, pos < field.size
+    left, right = np.maximum(pos - 1, 0), np.minimum(pos, field.size - 1)
+    mean, var = kern.cond_moments_many(
+        x,
+        np.where(has_l, field.times[left], -np.inf),
+        np.where(has_l, field.values[left], 0.0),
+        np.where(has_r, field.times[right], np.inf),
+        np.where(has_r, field.values[right], 0.0),
+    )
+    f_star = mean + np.sqrt(var) * rng.standard_normal(len(x))
+    took_add = _accept(
+        rj_log_accept_add(grid.lengths[add], state.lam, grid.coal_factor[add], count[add], f_star),
+        rng,
+    )
+
+    rem = rem[count[rem] > 0]
+    m = count[rem]
+    pick = np.searchsorted(field.times, grid.starts[rem], side="right") + rng.integers(0, m)
+    took_rem = _accept(
+        rj_log_accept_remove(grid.lengths[rem], state.lam, grid.coal_factor[rem], m, field.values[pick]),
+        rng,
+    )
+
+    if counters is not None:
+        counters["rj_add"][0] += int(took_add.sum())
+        counters["rj_remove"][0] += int(took_rem.sum())
+    if took_add.any() or took_rem.any():
+        field.splice(pick[took_rem], pos[took_add], x[took_add], f_star[took_add])
+        count[add[took_add]] += 1
+        count[rem[took_rem]] -= 1
 
 
 def location_update(
@@ -271,8 +318,8 @@ def location_update(
     j = int(eligible[rng.choice(len(eligible), p=weights / weights.sum())])
     if counters is not None:
         counters["location"][1] += 1
-    idx = _latent_indices_in(field, grid, j)
-    pick = int(idx[rng.integers(len(idx))])
+    first = int(np.searchsorted(field.times, grid.starts[j], side="right"))
+    pick = first + int(rng.integers(state.latent_count[j]))  # the interval's latent points are contiguous
     x_new = rng.uniform(grid.starts[j], grid.ends[j])
     pos = int(np.searchsorted(field.times, x_new))
     if pos < field.size and field.times[pos] == x_new:
@@ -285,15 +332,6 @@ def location_update(
         if counters is not None:
             counters["location"][0] += 1
     return state
-
-
-def thinning_log_lik(field: LatentField) -> float:
-    """Product of sigmoid acceptance terms at coalescent points and
-    complementary terms at latent points (the f-dependent likelihood)."""
-    return float(
-        np.sum(log_expit(field.values[field.is_coal]))
-        + np.sum(log_expit(-field.values[~field.is_coal]))
-    )
 
 
 def elliptical_slice_step(f, nu, loglik, rng: np.random.Generator):

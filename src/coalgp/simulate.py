@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import ks_2samp
 
 from .errors import EvaluationError, SimulationError
 from .gp_prior import GPKernel, LatentField
@@ -398,6 +397,8 @@ def time_transform_replicates(
 
 def ks_against_oracle(thinned: np.ndarray, oracle: np.ndarray) -> np.ndarray:
     """Two-sample KS distance per coalescent index between replicate matrices."""
+    from scipy.stats import ks_2samp  # deferred: scipy.stats is slow to import
+
     thinned = np.atleast_2d(thinned)
     oracle = np.atleast_2d(oracle)
     if thinned.shape[1] != oracle.shape[1]:

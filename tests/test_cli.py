@@ -113,6 +113,22 @@ class TestInferCommand:
         header = json.loads(out.read_text().splitlines()[1])
         assert header["kernel"]["kind"] == "ou"
 
+    @pytest.mark.parametrize("key", ["coal_times", "samp_times", "samp_counts"])
+    @pytest.mark.parametrize("fault", ["missing", "mistyped"])
+    def test_data_json_bad_key_exits_2(self, tmp_path, capsys, key, fault):
+        obj = {"coal_times": [0.4, 1.1], "samp_times": [0.0], "samp_counts": [3]}
+        if fault == "missing":
+            del obj[key]
+        else:
+            obj[key] = ["x"] * len(obj[key])
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps(obj))
+        code = run(["infer", "--data", data, "--iters", 20, "--burnin", 5, "--out", tmp_path / "c.jsonl"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert key in err
+
     def test_infer_determinism(self, tmp_path):
         tree = tmp_path / "t.nwk"
         tree.write_text(TREE)

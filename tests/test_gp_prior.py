@@ -175,6 +175,42 @@ class TestConditionalMoments:
             assert mean == pytest.approx(float(mean_o[0]), abs=1e-10)
             assert var == pytest.approx(float(var_o[0, 0]), abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["bm", "ou"])
+    def test_array_moments_match_scalar(self, kind, rng):
+        # rows with both neighbours, no left one, no right one, and neither
+        for _ in range(5):
+            kernel = random_kernel(rng, kind)
+            n = 40
+            t = rng.uniform(0.5, 4.0, size=n)
+            lt = t - rng.uniform(0.01, 0.5, size=n)
+            rt = t + rng.uniform(0.01, 0.5, size=n)
+            lf, rf = rng.standard_normal(n), rng.standard_normal(n)
+            has_l = np.arange(n) % 4 < 2
+            has_r = np.arange(n) % 2 == 0
+            lt[~has_l], lf[~has_l] = -np.inf, 0.0
+            rt[~has_r], rf[~has_r] = np.inf, 0.0
+            mean, var = kernel.cond_moments_many(t, lt, lf, rt, rf)
+            for i in range(n):
+                left = (lt[i], lf[i]) if has_l[i] else None
+                right = (rt[i], rf[i]) if has_r[i] else None
+                m1, v1 = kernel.cond_moments(float(t[i]), left, right)
+                assert mean[i] == pytest.approx(m1, rel=1e-12, abs=1e-12)
+                assert var[i] == pytest.approx(v1, rel=1e-12, abs=1e-12)
+
+    def test_missing_neighbour_closed_forms(self):
+        bm = BrownianMotionKernel(theta=2.0, init_var=1.5)
+        # no left neighbour: bridge from the pinned start (u=0, f=0)
+        mean, var = bm.cond_moments(1.0, None, (3.0, 0.9))
+        assert mean == pytest.approx(0.9 * 2.5 / 4.5)
+        assert var == pytest.approx(2.5 * 2.0 / (4.5 * 2.0))
+        mean, var = bm.cond_moments(1.0, None, None)
+        assert (mean, var) == (0.0, pytest.approx(2.5 / 2.0))
+        ou = OrnsteinUhlenbeckKernel(theta=0.5, phi=1.3)
+        mean, var = ou.cond_moments(1.0, None, (1.4, 0.8))
+        assert mean == pytest.approx(math.exp(-1.3 * 0.4) * 0.8)
+        assert var == pytest.approx(-math.expm1(-2.6 * 0.4) / 0.5)
+        assert ou.cond_moments(1.0, None, None) == (0.0, pytest.approx(2.0))
+
     def test_draw_monte_carlo_moments(self, rng):
         # 1e5 draws between two anchors: sample moments within 4 standard errors
         kernel = BrownianMotionKernel(theta=1.7, init_var=0.5)

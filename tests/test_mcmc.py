@@ -17,6 +17,7 @@ from coalgp.mcmc import (
     location_update,
     rj_log_accept_add,
     rj_log_accept_remove,
+    rj_passes,
     rj_update,
     run_chain,
     run_prior_chain,
@@ -25,10 +26,17 @@ from coalgp.mcmc import (
 from coalgp.simulate import simulate_time_transform
 from coalgp.trajectories import ConstantTrajectory
 import geweke
+from conftest import random_hetero_data
 
 
 def small_data():
     return CoalescentData([0.4, 0.7, 1.3], [0.0], [4])
+
+
+def serial_data():
+    # the first coalescent event follows three sampling events, so its block
+    # holds four intervals; the last batch arrives after one lineage is left
+    return CoalescentData([0.35, 0.5, 0.8, 0.9, 1.6], [0.0, 0.1, 0.2, 0.3, 1.0], [2, 1, 1, 1, 1])
 
 
 class TestReversibleJumpRatios:
@@ -63,6 +71,56 @@ class TestReversibleJumpRatios:
         latent = state.field.latent_times()
         recounted = np.bincount(grid.interval_of_many(latent), minlength=grid.n_intervals)
         assert np.array_equal(recounted, state.latent_count)
+
+
+    def test_rj_update_bookkeeping_serial_blocks(self, rng):
+        data = serial_data()
+        grid = build_interval_grid(data)
+        assert np.max(np.bincount(grid.event_index)) >= 3
+        cfg = McmcConfig(iterations=10, burn_in=0, lambda_hat=3.0)
+        state = ChainState.initial(grid, cfg)
+        kernel = OrnsteinUhlenbeckKernel(phi=0.7)
+        for _ in range(200):
+            rj_update(state, grid, kernel, rng)
+        assert state.latent_count.sum() == int(np.sum(~state.field.is_coal))
+        assert np.all(np.diff(state.field.times) > 0)
+        assert np.array_equal(state.field.coal_times(), grid.coal_event_times)
+        latent = state.field.latent_times()
+        recounted = np.bincount(grid.interval_of_many(latent), minlength=grid.n_intervals)
+        assert np.array_equal(recounted, state.latent_count)
+        assert state.latent_count[grid.coal_factor == 0].sum() == 0
+
+
+class TestRjPassSchedule:
+    def check_schedule(self, grid):
+        passes = rj_passes(grid)
+        live = np.flatnonzero((grid.coal_factor > 0) & (grid.lengths > 0))
+        flat = np.concatenate(passes) if passes else np.zeros(0, dtype=int)
+        # every live interval sits in exactly one pass
+        assert np.array_equal(np.sort(flat), live)
+        pass_of = np.full(grid.n_intervals, -1)
+        for k, js in enumerate(passes):
+            # no pass holds two intervals of one block
+            assert len(np.unique(grid.event_index[js])) == len(js)
+            pass_of[js] = k
+        # within a block the passes go in time order
+        for b in np.unique(grid.event_index[live]):
+            in_block = live[grid.event_index[live] == b]
+            assert np.array_equal(pass_of[in_block], np.arange(len(in_block)))
+
+    def test_isochronous_is_one_pass(self):
+        grid = build_interval_grid(small_data())
+        assert len(rj_passes(grid)) == 1
+        self.check_schedule(grid)
+
+    def test_serial_blocks(self):
+        grid = build_interval_grid(serial_data())
+        assert len(rj_passes(grid)) == 4
+        self.check_schedule(grid)
+
+    def test_random_heterochronous(self, rng):
+        for _ in range(50):
+            self.check_schedule(build_interval_grid(random_hetero_data(rng, max_batches=6)))
 
 
 class TestLocationUpdate:
@@ -319,3 +377,16 @@ class TestGewekeHetero:
         sc_ = geweke.successive_conditional(st, sc, kernel, cfg, 4000, rng, extra_lambda_steps=3)
         scores = geweke.moment_z_scores(mc, sc_)
         assert all(abs(z) < 4.5 for z in scores.values()), scores
+
+    @pytest.mark.slow
+    def test_serial_blocks_joint_distribution_agreement(self):
+        # three sampling times put several intervals in the early blocks, so
+        # the RJ sweep takes more than one pass
+        rng = np.random.Generator(np.random.Philox(404))
+        cfg = geweke.default_config(lambda_hat=3.0, lambda_halfwidth=3.0)
+        kernel = BrownianMotionKernel(init_var=geweke.INIT_VAR)
+        st, sc = [0.0, 0.15, 0.3], [3, 2, 2]
+        mc = geweke.marginal_conditional(st, sc, kernel, cfg, 20_000, rng)
+        sc_ = geweke.successive_conditional(st, sc, kernel, cfg, 90_000, rng, extra_lambda_steps=5)
+        scores = geweke.moment_z_scores(mc, sc_)
+        assert all(abs(z) < 4.0 for z in scores.values()), scores
