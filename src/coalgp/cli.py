@@ -239,17 +239,9 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _read_chain(path: str) -> ChainOutput:
-    with open(path) as fh:
-        first = fh.readline()
-        obj = json.loads(first)
-        if obj.get("type") != "meta":
-            fh.seek(0)
-        return ChainOutput.read_jsonl(fh)
-
-
 def cmd_summarize(args) -> int:
-    chain = _read_chain(args.chain)
+    with open(args.chain) as fh:
+        chain = ChainOutput.read_jsonl(fh)
     if not chain.draws:
         raise SimulationError("chain holds no draws")
     rng = _rng_for(args.seed, 0)

@@ -21,6 +21,17 @@ class ValidationError(CoalgpError):
     """Input data violates a structural invariant (ordering, counts, dates)."""
 
 
+def require_keys(obj, keys, what: str) -> dict:
+    """``obj`` itself when it is a dict holding every key; otherwise a
+    ValidationError naming ``what`` and the first missing key."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValidationError(f"{what} lacks the key {key!r}")
+    return obj
+
+
 class EvaluationError(CoalgpError):
     """A numerical evaluation failed (singular precision, quadrature, inversion)."""
 

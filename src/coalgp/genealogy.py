@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewickError, ValidationError
+from .errors import NewickError, ValidationError, require_keys
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _LABEL_STOP = set("(),:;[]")
@@ -104,18 +104,24 @@ class Genealogy:
         return np.sort([n.height for n in self.internals])
 
     def to_newick(self) -> str:
-        def fmt(node: TreeNode) -> str:
+        parts: list[str] = []
+        stack: list = [self.root]  # nodes still to write, and closing text
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+                continue
+            length = "" if node.branch_length is None else f":{node.branch_length:.17g}"
             if node.is_tip:
-                core = node.label or ""
-            else:
-                core = "(" + ",".join(fmt(c) for c in node.children) + ")"
-                if node.label:
-                    core += node.label
-            if node.branch_length is not None:
-                core += f":{node.branch_length:.17g}"
-            return core
-
-        return fmt(self.root) + ";"
+                parts.append((node.label or "") + length)
+                continue
+            parts.append("(")
+            stack.append(")" + (node.label or "") + length)
+            for k, child in enumerate(reversed(node.children)):
+                if k:
+                    stack.append(",")
+                stack.append(child)
+        return "".join(parts) + ";"
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -146,35 +152,40 @@ def _parse_number(text: str, i: int) -> tuple[float, int]:
 
 
 def _parse_subtree(text: str, i: int) -> tuple[TreeNode, int]:
-    i = _skip_ws(text, i)
-    if i >= len(text):
-        raise NewickError("unexpected end of input", i)
-    if text[i] == "(":
-        i += 1
-        children = []
-        while True:
-            child, i = _parse_subtree(text, i)
+    """One subtree starting at ``i``; an explicit stack holds the children of
+    every open '(' so that nesting depth is not bounded by recursion."""
+    open_groups: list[list[TreeNode]] = []
+    while True:
+        i = _skip_ws(text, i)
+        if i >= len(text):
+            raise NewickError("unexpected end of input", i)
+        if text[i] == "(":
+            open_groups.append([])
+            i += 1
+            continue
+        label, i = _parse_label(text, i)
+        if not label:
+            raise NewickError(f"expected a tip label or '(', found {text[i]!r}", i)
+        node = TreeNode(label=label)
+        # attach the finished node to its group; a ')' finishes that group too
+        while open_groups:
             i = _skip_ws(text, i)
             if i >= len(text) or text[i] != ":":
                 raise NewickError("missing branch length", i)
-            child.branch_length, i = _parse_number(text, i + 1)
-            children.append(child)
+            node.branch_length, i = _parse_number(text, i + 1)
+            open_groups[-1].append(node)
             i = _skip_ws(text, i)
             if i >= len(text):
                 raise NewickError("unbalanced parentheses: expected ',' or ')'", i)
             if text[i] == ",":
                 i += 1
-                continue
-            if text[i] == ")":
-                i += 1
                 break
-            raise NewickError(f"expected ',' or ')', found {text[i]!r}", i)
-        label, i = _parse_label(text, i)
-        return TreeNode(label=label or None, children=children), i
-    label, i = _parse_label(text, i)
-    if not label:
-        raise NewickError(f"expected a tip label or '(', found {text[i]!r}", i)
-    return TreeNode(label=label), i
+            if text[i] != ")":
+                raise NewickError(f"expected ',' or ')', found {text[i]!r}", i)
+            label, i = _parse_label(text, i + 1)
+            node = TreeNode(label=label or None, children=open_groups.pop())
+        if not open_groups:
+            return node, i
 
 
 def parse_newick(
@@ -314,8 +325,6 @@ class CoalescentData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CoalescentData":
-        if not isinstance(obj, dict):
-            raise ValidationError("coalescent data JSON must be an object")
         ct = _json_numbers(obj, "coal_times", float)
         sc = _json_numbers(obj, "samp_counts", int)
         # tolerate the t_n = 0 origin being written explicitly
@@ -332,9 +341,7 @@ class CoalescentData:
 def _json_numbers(obj: dict, key: str, kind: type) -> np.ndarray:
     """The list of numbers under ``key``; ValidationError names a missing or
     mistyped key.  ``kind`` int admits integers only, float any number."""
-    if key not in obj:
-        raise ValidationError(f"coalescent data JSON lacks the key {key!r}")
-    vals = obj[key]
+    vals = require_keys(obj, (key,), "coalescent data JSON")[key]
     allowed = int if kind is int else (int, float)
     if not isinstance(vals, list) or not all(
         isinstance(v, allowed) and not isinstance(v, bool) for v in vals

@@ -1,11 +1,14 @@
-"""Markov Gaussian process priors with tridiagonal precision.
+"""Markov Gaussian process priors in innovations form.
 
 Two kernels are supported: Brownian motion with a diffuse free initial level
 (covariance (init_var + min(t, t'))/theta) and a stationary
 Ornstein-Uhlenbeck process (covariance exp(-phi*|t - t'|)/theta).  Both are
-Markov, so any finite-dimensional precision matrix is tridiagonal, every
-conditional draw depends only on the two bracketing points, and all density
-work is O(d).  The precision of either kernel factorizes as theta * Q(1),
+Markov, so at sorted times t_1 < ... < t_d the law factors into innovations,
+f_1 ~ N(0, v_1/theta) and f_i | f_{i-1} ~ N(rho_i f_{i-1}, v_i/theta)
+(Rue & Held 2005).  The precision is tridiagonal, its bidiagonal Cholesky
+factor is read off (rho, v) directly, every conditional draw depends only on
+the two bracketing points, and density, quadratic form and prior draws are
+O(d) array passes.  Only v carries theta, so the precision is theta * Q(1),
 which the Gibbs update for theta relies on.
 """
 
@@ -15,58 +18,91 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
-from .errors import EvaluationError
+from .errors import EvaluationError, ValidationError, require_keys
 
 LOG_2PI = math.log(2.0 * math.pi)
+# A prior draw scales each chunk of the innovation sum by exp(-decay) with
+# decay < this, far below exp overflow (~709) for any realistic point count.
+_CHUNK_DECAY = 300.0
+_TINY = np.finfo(float).tiny
 
 
 class TridiagPrecision:
-    """Symmetric positive-definite tridiagonal matrix with banded Cholesky."""
+    """Precision of f_1 ~ N(0, var_1), f_i | f_{i-1} ~ N(rho_i f_{i-1}, var_i).
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray):
-        self.diag = np.asarray(diag, dtype=float)
-        self.off = np.asarray(off, dtype=float)
-        self._chol = None
+    ``rho[0]`` is not used.  The precision is R^T R with R lower bidiagonal,
+    R_ii = 1/sd_i and R_{i,i-1} = -rho_i/sd_i (sd = sqrt(var)): the
+    innovations are its Cholesky factor, so no factorization is computed.
+    """
+
+    def __init__(self, rho: np.ndarray, var: np.ndarray):
+        self.rho = np.asarray(rho, dtype=float)
+        self.var = np.asarray(var, dtype=float)
+        if not np.all(self.var > 0):
+            raise EvaluationError("times must be strictly increasing without duplicates")
 
     @property
     def size(self) -> int:
-        return len(self.diag)
+        return len(self.var)
 
-    def _cholesky(self) -> np.ndarray:
-        if self._chol is None:
-            ab = np.zeros((2, self.size))
-            ab[0, 1:] = self.off
-            ab[1, :] = self.diag
-            try:
-                self._chol = linalg.cholesky_banded(ab, lower=False)
-            except linalg.LinAlgError as exc:
-                raise EvaluationError(f"precision matrix is not positive definite: {exc}") from exc
-        return self._chol
+    def _cholesky(self) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and subdiagonal of the lower bidiagonal factor R."""
+        inv_sd = 1.0 / np.sqrt(self.var)
+        return inv_sd, -self.rho[1:] * inv_sd[1:]
 
-    def log_det(self) -> float:
-        cb = self._cholesky()
-        return 2.0 * float(np.sum(np.log(cb[1])))
-
-    def quad_form(self, f: np.ndarray) -> float:
-        f = np.asarray(f, dtype=float)
-        q = float(np.dot(f * f, self.diag))
-        if self.size > 1:
-            q += 2.0 * float(np.dot(self.off, f[:-1] * f[1:]))
-        return q
-
-    def matvec(self, f: np.ndarray) -> np.ndarray:
-        out = self.diag * f
-        if self.size > 1:
-            out[:-1] += self.off * f[1:]
-            out[1:] += self.off * f[:-1]
+    @property
+    def diag(self) -> np.ndarray:
+        d, s = self._cholesky()
+        out = d * d
+        out[:-1] += s * s
         return out
 
+    @property
+    def off(self) -> np.ndarray:
+        d, s = self._cholesky()
+        return s * d[1:]
+
+    def log_det(self) -> float:
+        return -float(np.sum(np.log(self.var)))
+
+    def _innovations(self, f: np.ndarray) -> np.ndarray:
+        f = np.asarray(f, dtype=float)
+        e = f.copy()
+        e[1:] -= self.rho[1:] * f[:-1]
+        return e
+
+    def quad_form(self, f: np.ndarray) -> float:
+        e = self._innovations(f)
+        return float(np.dot(e, e / self.var))
+
+    def matvec(self, f: np.ndarray) -> np.ndarray:
+        y = self._innovations(f) / self.var
+        y[:-1] -= self.rho[1:] * y[1:]
+        return y
+
     def sample_zero_mean(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw from N(0, Q^{-1}) via a banded triangular solve."""
-        z = rng.standard_normal(self.size)
-        return linalg.solve_banded((0, 1), self._cholesky(), z)
+        """One draw from N(0, Q^{-1}): f_i = rho_i f_{i-1} + sd_i z_i.
+
+        With decay_i = -log(rho_2 ... rho_i), f = P * cumsum(w / P) for
+        P = exp(-decay) (a plain cumsum when every rho is 1).  The sum runs in
+        chunks of decay span below _CHUNK_DECAY, each rescaled to its first
+        point and seeded with the previous chunk's last value, so P never
+        underflows and w / P never overflows.
+        """
+        w = np.sqrt(self.var) * rng.standard_normal(self.size)
+        decay = np.zeros(self.size)
+        # a rho that underflowed to 0 cuts a chunk and carries nothing over
+        np.cumsum(-np.log(np.maximum(self.rho[1:], _TINY)), out=decay[1:])
+        chunk = np.floor(decay / _CHUNK_DECAY)
+        cuts = np.flatnonzero(chunk[1:] != chunk[:-1]) + 1
+        f = np.empty(self.size)
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, self.size]):
+            if lo:
+                w[lo] += self.rho[lo] * f[lo - 1]
+            p = np.exp(decay[lo] - decay[lo:hi])
+            f[lo:hi] = p * np.cumsum(w[lo:hi] / p)
+        return f
 
     def dense(self) -> np.ndarray:
         out = np.diag(self.diag)
@@ -118,23 +154,12 @@ class BrownianMotionKernel(_MarkovKernel):
         return u
 
     def structure_tridiag(self, times: np.ndarray) -> TridiagPrecision:
-        """Theta-free precision Q(1); the full precision is theta * Q(1)."""
+        """Theta-free precision Q(1); the full precision is theta * Q(1).
+
+        Innovations: rho = 1, v_1 = t_1 + init_var, v_i = t_i - t_{i-1}.
+        """
         u = self._shifted(times)
-        gaps = np.diff(u)
-        if np.any(gaps <= 0):
-            raise EvaluationError("times must be strictly increasing without duplicates")
-        d = len(u)
-        diag = np.zeros(d)
-        diag[0] = 1.0 / u[0]
-        if d > 1:
-            inv = 1.0 / gaps
-            diag[0] += inv[0]
-            diag[1:] += inv
-            diag[1:-1] += inv[1:]
-            off = -inv
-        else:
-            off = np.zeros(0)
-        return TridiagPrecision(diag, off)
+        return TridiagPrecision(np.ones(len(u)), np.diff(u, prepend=0.0))
 
     def covariance(self, times: np.ndarray) -> np.ndarray:
         u = self._shifted(times)
@@ -175,22 +200,10 @@ class OrnsteinUhlenbeckKernel(_MarkovKernel):
         return replace(self, theta=theta)
 
     def structure_tridiag(self, times: np.ndarray) -> TridiagPrecision:
-        t = np.asarray(times, dtype=float)
-        gaps = np.diff(t)
-        if np.any(gaps <= 0):
-            raise EvaluationError("times must be strictly increasing without duplicates")
-        d = len(t)
-        if d == 1:
-            return TridiagPrecision(np.ones(1), np.zeros(0))
+        """Theta-free precision Q(1): rho = exp(-phi*gap), v = 1 - rho^2, v_1 = 1."""
+        gaps = np.diff(np.asarray(times, dtype=float), prepend=-np.inf)
         rho = np.exp(-self.phi * gaps)
-        den = -np.expm1(-2.0 * self.phi * gaps)  # 1 - rho^2, stable for tiny gaps
-        diag = np.zeros(d)
-        diag[0] = 1.0 + rho[0] ** 2 / den[0]
-        diag[-1] = 1.0 / den[-1]
-        if d > 2:
-            diag[1:-1] = 1.0 / den[:-1] + rho[1:] ** 2 / den[1:]
-        off = -rho / den
-        return TridiagPrecision(diag, off)
+        return TridiagPrecision(rho, -np.expm1(-2.0 * self.phi * gaps))  # 1 - rho^2, stable for tiny gaps
 
     def covariance(self, times: np.ndarray) -> np.ndarray:
         t = np.asarray(times, dtype=float)
@@ -222,18 +235,20 @@ def kernel_to_json(kernel: GPKernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> GPKernel:
-    kind = obj.get("kind")
+    kind = require_keys(obj, ("kind",), "kernel")["kind"]
     if kind == "bm":
+        require_keys(obj, ("theta", "init_var"), "bm kernel")
         return BrownianMotionKernel(theta=obj["theta"], init_var=obj["init_var"])
     if kind == "ou":
+        require_keys(obj, ("theta", "phi"), "ou kernel")
         return OrnsteinUhlenbeckKernel(theta=obj["theta"], phi=obj["phi"])
-    raise EvaluationError(f"unknown kernel kind {kind!r}")
+    raise ValidationError(f"unknown kernel kind {kind!r}")
 
 
 def build_precision(times: np.ndarray, kernel: GPKernel) -> TridiagPrecision:
     """Precision matrix of the kernel's finite-dimensional law at ``times``."""
     q = kernel.structure_tridiag(times)
-    return TridiagPrecision(q.diag * kernel.theta, q.off * kernel.theta)
+    return TridiagPrecision(q.rho, q.var / kernel.theta)
 
 
 def log_prior_density(times: np.ndarray, values: np.ndarray, kernel: GPKernel) -> float:

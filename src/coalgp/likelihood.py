@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from .errors import ValidationError
 from .genealogy import CoalescentData, IntervalGrid, build_interval_grid
@@ -22,8 +21,14 @@ from .gp_prior import LatentField
 from .trajectories import Trajectory
 
 
+def log_sigmoid(f):
+    """log(1 / (1 + exp(-f))) as -softplus(-f): finite for every finite f."""
+    return -np.logaddexp(0.0, np.negative(f))
+
+
 def sigmoid(f):
-    return expit(f)
+    """Logistic function; saturates to 0 and 1 without overflow."""
+    return np.exp(log_sigmoid(f))
 
 
 def ne_from_f(f, lam: float):
@@ -40,7 +45,7 @@ def ne_from_f(f, lam: float):
 
 def inv_ne_from_f(f, lam: float):
     """Bounded inverse population size lam * sigmoid(f), in (0, lam)."""
-    return lam * expit(f)
+    return lam * sigmoid(f)
 
 
 def conditional_intensity(t: float, grid: IntervalGrid, ne) -> float:
@@ -92,14 +97,14 @@ def log_augmented_likelihood(field: LatentField, grid: IntervalGrid, lam: float)
     total = -lam * grid.total_hazard_weight
     f_coal = field.values[field.is_coal]
     factors = grid.coal_factor[grid.ends_with_coal]
-    total += float(np.sum(np.log(lam * factors)) + np.sum(log_expit(f_coal)))
+    total += float(np.sum(np.log(lam * factors)) + np.sum(log_sigmoid(f_coal)))
     latent_t = field.latent_times()
     if len(latent_t):
         j = grid.interval_of_many(latent_t)
         f_lat = field.values[~field.is_coal]
         with np.errstate(divide="ignore"):
             total += float(np.sum(np.log(lam * grid.coal_factor[j])))
-        total += float(np.sum(log_expit(-f_lat)))
+        total += float(np.sum(log_sigmoid(-f_lat)))
     return total
 
 

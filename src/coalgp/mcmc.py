@@ -20,13 +20,13 @@ intervals any block holds: 1 for isochronous data.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaln, log_expit
 
-from .errors import McmcError
+from .errors import EvaluationError, McmcError, ValidationError, require_keys
 from .genealogy import CoalescentData, IntervalGrid, build_interval_grid
 from .gp_prior import (
     GPKernel,
@@ -37,7 +37,7 @@ from .gp_prior import (
     kernel_to_json,
     log_prior_density,
 )
-from .likelihood import LambdaPrior, lambda_log_prior, log_augmented_likelihood
+from .likelihood import LambdaPrior, lambda_log_prior, log_augmented_likelihood, log_sigmoid
 
 _TWO_PI = 2.0 * math.pi
 _MAX_SLICE_SHRINKS = 10_000
@@ -135,15 +135,24 @@ class ChainDraw:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainDraw":
-        return cls(
-            iteration=int(obj["iteration"]),
-            theta=float(obj["theta"]),
-            lam=float(obj["lambda"]),
-            times=np.asarray(obj["times"], dtype=float),
-            values=np.asarray(obj["values"], dtype=float),
-            is_coal=np.asarray(obj["is_coal"], dtype=bool),
-            log_posterior=float(obj["log_posterior"]),
-        )
+        require_keys(obj, _DRAW_KEYS, "chain draw")
+        try:
+            draw = cls(
+                iteration=int(obj["iteration"]),
+                theta=float(obj["theta"]),
+                lam=float(obj["lambda"]),
+                times=np.asarray(obj["times"], dtype=float),
+                values=np.asarray(obj["values"], dtype=float),
+                is_coal=np.asarray(obj["is_coal"], dtype=bool),
+                log_posterior=float(obj["log_posterior"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"chain draw holds a malformed value: {exc}") from None
+        if not (draw.times.ndim == 1 and draw.times.shape == draw.values.shape == draw.is_coal.shape):
+            raise ValidationError("chain draw keys 'times', 'values' and 'is_coal' must be lists of one length")
+        if np.any(np.diff(draw.times) <= 0):
+            raise ValidationError("chain draw key 'times' must be strictly increasing")
+        return draw
 
 
 @dataclass
@@ -155,8 +164,6 @@ class ChainOutput:
     kernel: GPKernel
 
     def write_jsonl(self, fh):
-        import json
-
         header = {
             "type": "header",
             "config": asdict(self.config),
@@ -170,20 +177,38 @@ class ChainOutput:
 
     @classmethod
     def read_jsonl(cls, fh) -> "ChainOutput":
-        import json
-
-        header = json.loads(fh.readline())
+        """Read a chain file: an optional ``meta`` line, the header, one draw
+        per line.  Malformed content raises ValidationError."""
+        records = (_json_record(line, n) for n, line in enumerate(fh, start=1) if line.strip())
+        header = next(records, {})
+        if header.get("type") == "meta":
+            header = next(records, {})
         if header.get("type") != "header":
-            raise ValueError("chain file does not start with a header line")
-        draws = [ChainDraw.from_json(json.loads(line)) for line in fh if line.strip()]
-        cfg_dict = dict(header["config"])
+            raise ValidationError("chain file does not start with a header line")
+        require_keys(header, ("config", "kernel"), "chain header")
+        try:
+            config = McmcConfig(**require_keys(header["config"], (), "chain header config"))
+            kernel = kernel_from_json(header["kernel"])
+        except (TypeError, EvaluationError) as exc:  # unknown or mistyped settings
+            raise ValidationError(f"chain header holds a malformed setting: {exc}") from None
         return cls(
-            draws=draws,
+            draws=[ChainDraw.from_json(obj) for obj in records],
             acceptance=header.get("acceptance", {}),
             log_posterior_trace=np.zeros(0),
-            config=McmcConfig(**cfg_dict),
-            kernel=kernel_from_json(header["kernel"]),
+            config=config,
+            kernel=kernel,
         )
+
+
+_DRAW_KEYS = ("iteration", "theta", "lambda", "times", "values", "is_coal", "log_posterior")
+
+
+def _json_record(line: str, lineno: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"chain file line {lineno} is not JSON: {exc}") from None
+    return require_keys(obj, (), f"chain file line {lineno}")
 
 
 def rj_log_accept_add(length, lam, factor, m, f_star):
@@ -377,7 +402,7 @@ def ess_update(
         loglik = lambda v: 0.0  # noqa: E731 - prior-only diagnostics
     else:
         signs = np.where(field.is_coal, 1.0, -1.0)
-        loglik = lambda v: float(np.sum(log_expit(signs * v)))  # noqa: E731
+        loglik = lambda v: float(np.sum(log_sigmoid(signs * v)))  # noqa: E731
 
     field.values = elliptical_slice_step(field.values, nu, loglik, rng)
     if counters is not None:
@@ -484,7 +509,7 @@ def mcmc_sweep(
 def gamma_log_pdf(x: float, alpha: float, beta: float) -> float:
     if x <= 0:
         return -math.inf
-    return alpha * math.log(beta) - gammaln(alpha) + (alpha - 1.0) * math.log(x) - beta * x
+    return alpha * math.log(beta) - math.lgamma(alpha) + (alpha - 1.0) * math.log(x) - beta * x
 
 
 def log_augmented_posterior(

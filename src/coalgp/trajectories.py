@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import EvaluationError, SimulationError
 
@@ -37,6 +36,8 @@ class Trajectory:
 
     def inv_ne_integral(self, a: float, b: float) -> float:
         """Integral of 1/N_e over [a, b], to absolute tolerance 1e-10."""
+        from scipy import integrate  # deferred: only CallableTrajectory gets here
+
         if b <= a:
             return 0.0
         value, err = integrate.quad(self.inv_ne, a, b, epsabs=QUAD_ABS_TOL, limit=200)
@@ -48,6 +49,8 @@ class Trajectory:
 
     def solve_inv_ne_integral(self, a: float, target: float) -> float:
         """Smallest t >= a with integral_a^t 1/N_e = target (monotone inversion)."""
+        from scipy import optimize  # deferred: only CallableTrajectory gets here
+
         if target <= 0.0:
             return a
         step = 1.0

@@ -1,10 +1,17 @@
 """End-to-end command-line behavior: files, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coalgp.cli import main
+from coalgp.genealogy import parse_newick
 
 TREE = "((A:0.3,B:0.3):0.7,C:0.5);"
 
@@ -180,6 +187,51 @@ class TestSummarizeCommand:
         rows = out.read_text().strip().splitlines()[1:]
         assert any(r.endswith(",1") for r in rows)
 
+    @pytest.mark.parametrize(
+        "fault, key",
+        [("draw", "theta"), ("draw", "times"), ("header", "kernel"), ("header", "config")],
+    )
+    def test_chain_missing_key_exits_2(self, tmp_path, capsys, fault, key):
+        chain = self.make_chain(tmp_path)
+        lines = chain.read_text().splitlines()
+        target = 2 if fault == "draw" else 1
+        obj = json.loads(lines[target])
+        del obj[key]
+        lines[target] = json.dumps(obj)
+        chain.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["summarize", "--chain", chain, "--out", tmp_path / "s.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "line, key, value",
+        [(2, "theta", [1.0]), (2, "values", [0.5]), (2, "times", "reversed"),
+         (1, "kernel", {"kind": "bm", "theta": "x", "init_var": 1}), (1, "config", {"iterations": 10, "bogus": 1})],
+    )
+    def test_chain_malformed_value_exits_2(self, tmp_path, capsys, line, key, value):
+        chain = self.make_chain(tmp_path)
+        lines = chain.read_text().splitlines()
+        obj = json.loads(lines[line])
+        obj[key] = obj[key][::-1] if value == "reversed" else value
+        lines[line] = json.dumps(obj)
+        chain.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["summarize", "--chain", chain, "--out", tmp_path / "s.csv"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_chain_non_json_line_exits_2(self, tmp_path, capsys):
+        chain = self.make_chain(tmp_path)
+        with open(chain, "a") as fh:
+            fh.write('{"iteration": 3, oops\n')
+        n_lines = len(chain.read_text().splitlines())
+        capsys.readouterr()
+        assert run(["summarize", "--chain", chain, "--out", tmp_path / "s.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"line {n_lines} is not JSON" in err
+
     def test_summary_determinism(self, tmp_path):
         chain = self.make_chain(tmp_path)
         a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -198,6 +250,24 @@ class TestExtractCommand:
         assert payload["coal_times"] == pytest.approx([0.3, 1.0])
         assert payload["samp_times"] == pytest.approx([0.0, 0.5])
         assert payload["samp_counts"] == [2, 1]
+
+    def test_deep_caterpillar_tree(self, tmp_path, capsys):
+        # 3000 tips nested one level per tip: deeper than Python's recursion limit
+        n = 3000
+        newick = "(A0:1,A1:1)"
+        for k in range(2, n):
+            newick = f"({newick}:1,A{k}:{k})"
+        tree = tmp_path / "cat.nwk"
+        tree.write_text(newick + ";")
+        out = tmp_path / "data.json"
+        assert run(["extract", "--tree", tree, "--out", out]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        assert payload["samp_counts"] == [n]
+        assert payload["coal_times"] == pytest.approx(np.arange(1.0, n))
+        g = parse_newick(tree.read_text())
+        assert parse_newick(g.to_newick()).to_newick() == g.to_newick()
+        assert np.allclose(parse_newick(g.to_newick()).internal_heights(), g.internal_heights())
 
     def test_extracted_json_feeds_infer(self, tmp_path):
         tree = tmp_path / "t.nwk"
@@ -246,3 +316,35 @@ def test_outdir_env_override(tmp_path, monkeypatch):
          "--seed", 0, "--out", "nested/sim.json"]
     ) == 0
     assert (tmp_path / "sandbox" / "nested" / "sim.json").exists()
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # infer, summarize and simulate with KS run on numpy alone
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import coalgp.cli
+
+        def call(*argv):
+            code = coalgp.cli.main([str(a) for a in argv])
+            assert code == 0, (argv, code)
+
+        data, chain = sys.argv[1] + "/d.json", sys.argv[1] + "/c.jsonl"
+        with open(data, "w") as fh:
+            json.dump({"coal_times": [0.4, 1.1], "samp_times": [0.0], "samp_counts": [3]}, fh)
+        call("infer", "--data", data, "--iters", 5, "--burnin", 1, "--thin", 1, "--out", chain)
+        call("summarize", "--chain", chain, "--out", sys.argv[1] + "/s.csv")
+        call("simulate", "--iso", "-n", 10, "--traj", "constant:1", "--lambda", 1,
+             "--replicates", 50, "--out", sys.argv[1] + "/r.json")
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "r_ks_report.json").exists()

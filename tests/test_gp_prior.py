@@ -1,5 +1,5 @@
-"""Tridiagonal precision, densities, and conditional draws against dense
-Gaussian oracles."""
+"""Innovations-form precision, densities, and conditional draws against
+dense Gaussian oracles."""
 
 import math
 
@@ -9,6 +9,7 @@ from scipy.stats import multivariate_normal
 
 from coalgp.errors import EvaluationError
 from coalgp.gp_prior import (
+    _CHUNK_DECAY,
     BrownianMotionKernel,
     LatentField,
     OrnsteinUhlenbeckKernel,
@@ -64,6 +65,53 @@ class TestPrecision:
     def test_duplicate_times_rejected(self):
         with pytest.raises(EvaluationError):
             build_precision([1.0, 1.0], BrownianMotionKernel())
+
+    @pytest.mark.parametrize("kind", ["bm", "ou"])
+    def test_innovations_density_matches_dense(self, kind, rng):
+        for _ in range(4):
+            kernel = random_kernel(rng, kind)
+            times = np.sort(rng.uniform(0.0 if kind == "ou" else 0.05, 6.0, size=30))
+            f = rng.standard_normal(30) / math.sqrt(kernel.theta)
+            dense = multivariate_normal(mean=np.zeros(30), cov=kernel.covariance(times))
+            assert log_prior_density(times, f, kernel) == pytest.approx(dense.logpdf(f), abs=1e-8)
+            q = build_precision(times, kernel)
+            cov_inv = np.linalg.inv(kernel.covariance(times))
+            assert q.quad_form(f) == pytest.approx(f @ cov_inv @ f, rel=1e-8)
+            assert q.log_det() == pytest.approx(np.linalg.slogdet(cov_inv)[1], abs=1e-8)
+            assert np.allclose(q.matvec(f), q.dense() @ f, atol=1e-9)
+
+    def test_ou_draw_across_chunks(self, rng):
+        # phi * span of about 3000 makes the draw run in several rescaled chunks
+        kernel = OrnsteinUhlenbeckKernel(theta=1.7, phi=50.0)
+        times = np.sort(rng.uniform(0.0, 60.0, size=300))
+        assert kernel.phi * (times[-1] - times[0]) > 2000
+        q = build_precision(times, kernel)
+        n = 20_000
+        draws = np.array([q.sample_zero_mean(rng) for _ in range(n)])
+        assert np.all(np.isfinite(draws))
+        # neighbours straddling each chunk cut and the closest pairs overall
+        decay = kernel.phi * (times - times[0])
+        cuts = np.flatnonzero(np.diff(np.floor(decay / _CHUNK_DECAY))) + 1
+        close = np.argsort(np.diff(times))[:5] + 1
+        sub = np.unique(np.concatenate([cuts - 1, cuts, close - 1, close]))
+        emp = np.cov(draws[:, sub].T)
+        cov = kernel.covariance(times[sub])
+        assert len(cuts) >= 6
+        assert np.allclose(emp, cov, atol=5 * (1.0 / kernel.theta) * math.sqrt(2.0 / n))
+
+    def test_zero_innovation_variance_rejected(self):
+        for kernel in (OrnsteinUhlenbeckKernel(phi=2.0), BrownianMotionKernel(init_var=1.0)):
+            for times in ([0.5, 0.5], [0.1, 1.0, 1.0, 2.0], [1.0, 0.5]):
+                with pytest.raises(EvaluationError):
+                    build_precision(times, kernel)
+                with pytest.raises(EvaluationError):
+                    log_prior_density(times, np.zeros(len(times)), kernel)
+        # OU gaps so small that 1 - rho^2 is 0 in float64
+        with pytest.raises(EvaluationError):
+            build_precision([1.0, 1.0 + 1e-300], OrnsteinUhlenbeckKernel(phi=1e-30))
+        # pinned Brownian motion has no variance at t = 0
+        with pytest.raises(EvaluationError):
+            build_precision([0.0, 1.0], BrownianMotionKernel(init_var=0.0))
 
     def test_tridiagonal_storage_is_linear(self):
         q = build_precision(np.arange(1.0, 1001.0), BrownianMotionKernel())

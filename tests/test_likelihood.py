@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from coalgp.errors import ValidationError
 from coalgp.genealogy import CoalescentData, build_interval_grid
@@ -22,9 +22,12 @@ from coalgp.likelihood import (
     lambda_log_prior,
     log_augmented_likelihood,
     log_coalescent_likelihood,
+    log_sigmoid,
     ne_from_f,
     sample_lambda_prior,
+    sigmoid,
 )
+from coalgp.simulate import _sigmoid
 from coalgp.trajectories import CallableTrajectory, ConstantTrajectory, ExpGrowthTrajectory
 from conftest import random_hetero_data
 
@@ -46,6 +49,15 @@ class TestSigmoidLink:
         assert np.all(ne_from_f(f, lam) >= 1.0 / lam)
         inside = np.abs(f) <= 30.0
         assert np.all(ne_from_f(f[inside], lam[inside]) > 1.0 / lam[inside])
+
+    def test_numpy_and_scalar_sigmoid_match_scipy(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 20_001), [-745.2, -1e-300, 0.0, 1e-300, 36.7]])
+        # relative 1e-12; below ~1e-308 one side may keep a subnormal the other flushes
+        assert np.allclose(sigmoid(x), expit(x), rtol=1e-12, atol=1e-300)
+        assert np.allclose(log_sigmoid(x), log_expit(x), rtol=1e-12, atol=0.0)
+        scalar = np.array([_sigmoid(float(v)) for v in x])
+        assert np.allclose(scalar, expit(x), rtol=1e-12, atol=1e-300)
+        assert sigmoid(800.0) == 1.0 and sigmoid(-800.0) == 0.0 == _sigmoid(-800.0)
 
     def test_stable_for_extreme_f(self):
         assert np.isfinite(ne_from_f(-700.0, 1.0))

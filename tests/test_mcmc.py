@@ -12,6 +12,7 @@ from coalgp.mcmc import (
     ChainState,
     McmcConfig,
     elliptical_slice_step,
+    gamma_log_pdf,
     gibbs_theta,
     lambda_log_ratio,
     location_update,
@@ -220,6 +221,19 @@ class TestGibbsTheta:
         state = ChainState.initial(grid, cfg)
         gibbs_theta(state, BrownianMotionKernel(init_var=1.0), 2.0, 2.0, rng)
         assert state.theta > 0
+
+
+def test_gamma_log_pdf_matches_scipy():
+    from scipy.special import gammaln
+    from scipy.stats import gamma
+
+    a = np.geomspace(1e-4, 1e4, 200)
+    assert np.allclose([math.lgamma(v) for v in a], gammaln(a), rtol=1e-12, atol=1e-12)
+    for alpha, beta in [(0.001, 0.001), (0.5, 2.0), (3.7, 0.2), (250.0, 40.0)]:
+        x = np.geomspace(1e-6, 1e3, 50)
+        ours = np.array([gamma_log_pdf(float(v), alpha, beta) for v in x])
+        assert np.allclose(ours, gamma.logpdf(x, alpha, scale=1.0 / beta), rtol=1e-12, atol=1e-12)
+    assert gamma_log_pdf(0.0, 1.0, 1.0) == -math.inf
 
 
 class TestMhLambda:

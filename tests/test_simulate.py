@@ -14,6 +14,7 @@ from coalgp.simulate import (
     DeterministicSpec,
     SimulationRecord,
     ks_against_oracle,
+    ks_statistic,
     simulate_hetero_thinning,
     simulate_hetero_thinning_gp,
     simulate_iso_thinning,
@@ -218,6 +219,21 @@ class TestSurvivalCurve:
             p = math.exp(-(math.exp(5 * t) - 1) / 125.0)
             se = math.sqrt(p * (1 - p) / reps)
             assert abs(np.mean(draws > t) - p) < 4 * se, t
+
+
+def test_ks_statistic_matches_scipy(rng):
+    # continuous, unequal sizes, heavy ties within and across samples
+    cases = [
+        (rng.standard_normal(50), rng.standard_normal(73) + 0.3),
+        (rng.integers(0, 6, 40).astype(float), rng.integers(0, 8, 97).astype(float)),
+        (np.full(5, 2.0), np.array([2.0, 2.0, 3.0])),
+        (rng.exponential(size=1), rng.exponential(size=200)),
+    ]
+    for a, b in cases:
+        assert ks_statistic(a, b) == pytest.approx(stats.ks_2samp(a, b).statistic, abs=1e-12)
+    thinned, oracle = rng.exponential(size=(30, 4)), rng.exponential(size=(45, 4))
+    expected = [stats.ks_2samp(thinned[:, j], oracle[:, j]).statistic for j in range(4)]
+    assert np.allclose(ks_against_oracle(thinned, oracle), expected, rtol=0, atol=1e-12)
 
 
 def test_record_json_round_trip(rng):
