@@ -1,8 +1,14 @@
-"""Command-line entry point: simulate, infer, summarize.
+"""Command-line entry point: simulate, extract, infer, summarize.
 
 All randomness derives from one counter-based Philox stream per invocation,
 split per replicate/chain, so identical invocations on identical inputs give
-byte-identical outputs regardless of worker scheduling.  Exit codes: 0 on
+byte-identical outputs regardless of worker scheduling.  ``simulate
+--replicates`` makes one lockstep walker call for the whole batch (see
+:mod:`coalgp.simulate`); with ``--workers k`` each of k processes makes one
+call for a contiguous chunk of replicates.  Replicate r draws only from its
+own stream, so its file is the same for every batch size and worker count
+(apart from ``meta``).  Count flags (--replicates, --workers, --chains)
+must be at least 1.  Exit codes: 0 on
 success, 2 for usage or input-validation problems, 3 for runtime failures
 (proposal caps, sampler aborts); a sampler abort writes a state dump next to
 the requested output.
@@ -14,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -77,24 +82,24 @@ def _build_kernel(args):
     return OrnsteinUhlenbeckKernel(theta=args.theta, phi=args.phi)
 
 
-def _simulate_one(args, rep: int):
-    rng = _rng_for(args.seed, rep)
-    if args.iso:
-        samp_times, samp_counts = [0.0], [args.n]
-    else:
-        samp_times, samp_counts = _parse_schedule(args.schedule)
-    if args.traj is not None:
-        spec = DeterministicSpec(parse_trajectory(args.traj), lam=args.lam, window=args.window)
+def _simulate_batch(args, model, start: int, stop: int) -> list:
+    """Replicates start..stop-1 in one lockstep walker call, replicate r
+    drawing from its own stream ``_rng_for(seed, r)``."""
+    rngs = [_rng_for(args.seed, r) for r in range(start, stop)]
+    samp_times, samp_counts = ([0.0], [args.n]) if args.iso else _parse_schedule(args.schedule)
+    if isinstance(model, DeterministicSpec):
         return simulate_hetero_thinning(
-            samp_times, samp_counts, spec, rng,
+            samp_times, samp_counts, model, rngs,
             record_latent=args.record_latent, proposal_cap=args.proposal_cap,
         )
-    kernel = _build_kernel(args)
-    if args.lam is None:
-        raise ValidationError("--lambda is required for GP simulation")
     return simulate_hetero_thinning_gp(
-        samp_times, samp_counts, kernel, args.lam, rng, proposal_cap=args.proposal_cap
+        samp_times, samp_counts, model, args.lam, rngs, proposal_cap=args.proposal_cap
     )
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -104,45 +109,45 @@ def cmd_simulate(args) -> int:
         raise ValidationError("exactly one of --traj or --kernel must be given")
     if args.iso and args.n is None:
         raise ValidationError("--iso requires -n")
+    if args.traj is not None:
+        model = DeterministicSpec(parse_trajectory(args.traj), lam=args.lam, window=args.window)
+    elif args.lam is None:
+        raise ValidationError("--lambda is required for GP simulation")
+    else:
+        model = _build_kernel(args)
     out = _out_path(args.out)
     reps = args.replicates
     if reps == 1:
-        record = _simulate_one(args, 0)
-        payload = {"meta": _meta(args, args.seed), **record.to_json()}
-        with open(out, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        (record,) = _simulate_batch(args, model, 0, 1)
+        _write_json(out, {"meta": _meta(args, args.seed), **record.to_json()})
         print(f"wrote {out} ({len(record.coal_times)} coalescent times)", file=sys.stderr)
         return 0
     stem, suffix = out.with_suffix(""), out.suffix or ".json"
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(_simulate_one, [args] * reps, range(reps)))
+        from concurrent.futures import ProcessPoolExecutor
+
+        k = min(args.workers, reps)
+        cuts = [reps * c // k for c in range(k + 1)]  # k contiguous chunks
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            chunks = pool.map(_simulate_batch, [args] * k, [model] * k, cuts[:-1], cuts[1:])
+            records = [record for chunk in chunks for record in chunk]
     else:
-        records = [_simulate_one(args, r) for r in range(reps)]
+        records = _simulate_batch(args, model, 0, reps)
+    meta = _meta(args, args.seed)
     for r, record in enumerate(records):
-        payload = {"meta": _meta(args, args.seed), "replicate": r, **record.to_json()}
-        with open(f"{stem}_{r:04d}{suffix}", "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        _write_json(f"{stem}_{r:04d}{suffix}", {"meta": meta, "replicate": r, **record.to_json()})
     print(f"wrote {reps} replicates to {stem}_*{suffix}", file=sys.stderr)
     if args.traj is not None:
-        traj = parse_trajectory(args.traj)
         thinned = np.vstack([rec.coal_times for rec in records])
-        oracle = np.vstack(
-            [
-                simulate_time_transform(
-                    traj,
-                    _rng_for(args.seed + 1, r),
-                    samp_times=records[0].samp_times,
-                    samp_counts=records[0].samp_counts,
-                )
-                for r in range(reps)
-            ]
+        oracle = simulate_time_transform(
+            model.traj,
+            [_rng_for(args.seed + 1, r) for r in range(reps)],
+            samp_times=records[0].samp_times,
+            samp_counts=records[0].samp_counts,
         )
         ks = ks_against_oracle(thinned, oracle)
         report = {
-            "meta": _meta(args, args.seed),
+            "meta": meta,
             "replicates": reps,
             "ks_by_event": ks.tolist(),
             "ks_max": float(ks.max()),
@@ -208,6 +213,8 @@ def cmd_infer(args) -> int:
         )
     labels = [f"chain {c}" for c in range(n_chains)]
     if args.workers > 1 and n_chains > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_run_one_chain, [data] * n_chains, cfgs, [kernel] * n_chains, labels))
     else:
@@ -232,9 +239,7 @@ def cmd_infer(args) -> int:
 def cmd_extract(args) -> int:
     data = _load_data(args)
     out = _out_path(args.out)
-    with open(out, "w") as fh:
-        json.dump({"meta": _meta(args, 0), **data.to_json()}, fh)
-        fh.write("\n")
+    _write_json(out, {"meta": _meta(args, 0), **data.to_json()})
     print(f"wrote {out} ({data.n} samples, {len(data.coal_times)} coalescent events)", file=sys.stderr)
     return 0
 
@@ -274,6 +279,17 @@ def cmd_summarize(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """Value of a count flag (replicates, workers, chains): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coalgp",
@@ -295,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--window", type=float, help="lookahead width for the local-bound envelope")
     sim.add_argument("--record-latent", action="store_true", help="record thinned points (deterministic runs)")
     sim.add_argument("--proposal-cap", type=int, default=10_000_000, help="proposals allowed per coalescent interval")
-    sim.add_argument("--replicates", type=int, default=1)
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--replicates", type=_count, default=1)
+    sim.add_argument("--workers", type=_count, default=1, help="processes, each simulating one contiguous chunk of replicates")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--time-unit", default="generations")
     sim.add_argument("--out", default="simulation.json")
@@ -321,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--halfwidth", type=float, help="lambda proposal half-width (default 0.1*lambda-hat)")
     inf.add_argument("--rj-sweeps", type=int, default=1)
     inf.add_argument("--location-moves", type=int, default=1)
-    inf.add_argument("--chains", type=int, default=1)
-    inf.add_argument("--workers", type=int, default=1)
+    inf.add_argument("--chains", type=_count, default=1)
+    inf.add_argument("--workers", type=_count, default=1)
     inf.add_argument("--seed", type=int, default=0)
     inf.add_argument("--time-unit", default="generations")
     inf.add_argument("--out", default="chain.jsonl")

@@ -12,9 +12,17 @@ rejected candidates are kept as latent points: the output is one exact draw
 from the augmented model the sampler in :mod:`coalgp.mcmc` targets.
 
 Serial sampling is handled by restarting the dominating clock at each
-sampling time.  A candidate accepted beyond the next sampling time is never a
-coalescent event; rejected candidates beyond it are discarded without being
-recorded.
+sampling time.  A candidate that passes the next sampling time is never a
+coalescent event and is not recorded; the replicate moves on to that
+sampling time.
+
+Every sampler walks a batch of replicates in lockstep: the replicate is the
+array axis, and each round moves every live replicate by one candidate (the
+oracle: by one event or one epoch).  A replicate draws only from its own
+Generator, in blocks of ``BLOCK`` rounds, so its output does not depend on
+which other replicates share its batch.  The public functions take one
+Generator (one result, run as a batch of one) or a list of them (one result
+per Generator).
 """
 
 from __future__ import annotations
@@ -25,19 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, SimulationError
+from .errors import EvaluationError, SimulationError, ValidationError, require_keys
 from .gp_prior import GPKernel, LatentField
+from .likelihood import sigmoid
 from .trajectories import Trajectory
 
 DEFAULT_PROPOSAL_CAP = 10_000_000
-
-
-def _sigmoid(x: float) -> float:
-    """Scalar logistic function, with no overflow on either side."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+BLOCK = 32  # rounds of unit draws a replicate takes from its Generator at a time
 
 
 @dataclass(frozen=True)
@@ -103,22 +105,30 @@ class SimulationRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimulationRecord":
-        gp_field = None
+        """Rebuild a record; a non-object, a missing key or a malformed value
+        raises ValidationError."""
+        keys = ("samp_times", "samp_counts", "coal_times", "latent_by_interval")
+        require_keys(obj, keys, "simulation record")
         if "f_times" in obj:
-            gp_field = LatentField(obj["f_times"], obj["f_values"], obj["f_is_coal"])
-        return cls(
-            samp_times=np.asarray(obj["samp_times"], dtype=float),
-            samp_counts=np.asarray(obj["samp_counts"], dtype=int),
-            coal_times=np.asarray(obj["coal_times"], dtype=float),
-            latent_by_interval=[np.asarray(g, dtype=float) for g in obj["latent_by_interval"]],
-            gp_field=gp_field,
-            n_proposals=int(obj.get("n_proposals", 0)),
-        )
+            require_keys(obj, ("f_values", "f_is_coal"), "simulation record")
+        try:
+            gp_field = None
+            if "f_times" in obj:
+                gp_field = LatentField(obj["f_times"], obj["f_values"], obj["f_is_coal"])
+            return cls(
+                samp_times=np.asarray(obj["samp_times"], dtype=float),
+                samp_counts=np.asarray(obj["samp_counts"], dtype=int),
+                coal_times=np.asarray(obj["coal_times"], dtype=float),
+                latent_by_interval=[np.asarray(g, dtype=float) for g in obj["latent_by_interval"]],
+                gp_field=gp_field,
+                n_proposals=int(obj.get("n_proposals", 0)),
+            )
+        except (TypeError, ValueError, EvaluationError) as exc:
+            raise ValidationError(f"simulation record holds a malformed value: {exc}") from None
 
     def dump(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json()) + "\n")
 
 
 def _check_schedule(samp_times, samp_counts):
@@ -131,97 +141,198 @@ def _check_schedule(samp_times, samp_counts):
     return st, sc
 
 
+def _generators(rng) -> tuple[list, bool]:
+    """The batch's Generators, and whether the caller passed a list of them."""
+    if not isinstance(rng, (list, tuple)):
+        return [rng], False
+    if not rng:
+        raise EvaluationError("a batch needs at least one Generator")
+    return list(rng), True
+
+
+class _Walk:
+    """Lockstep state of a batch of replicates on one sampling schedule.
+
+    The arrays hold the live replicates only: batch index ``ids``, time,
+    epoch, active lineages and events done.  ``compact`` drops the finished.
+    """
+
+    def __init__(self, samp_times, samp_counts, reps: int):
+        self.st, self.sc = _check_schedule(samp_times, samp_counts)
+        self.next_time = np.append(self.st[1:], math.inf)
+        self.n_events = int(self.sc.sum()) - 1
+        self.ids = np.arange(reps)
+        self.t = np.zeros(reps)
+        self.epoch = np.zeros(reps, dtype=int)
+        self.active = np.full(reps, self.sc[0])
+        self.done = np.zeros(reps, dtype=int)
+
+    def boundary(self) -> np.ndarray:
+        """Each replicate's next sampling time (inf in the last epoch)."""
+        return self.next_time[self.epoch]
+
+    def advance(self, mask):
+        """Move the replicates in ``mask`` to their next sampling time."""
+        if not mask.any():
+            return
+        epoch = self.epoch[mask] + 1
+        self.epoch[mask] = epoch
+        self.t[mask] = self.st[epoch]
+        self.active[mask] += self.sc[epoch]
+
+    def pairs(self) -> np.ndarray:
+        """Pair counts after every replicate with fewer than 2 lineages has
+        moved on to the sampling time that brings more."""
+        low = self.active < 2
+        while low.any():
+            self.advance(low)
+            low = self.active < 2
+        return self.active * (self.active - 1) / 2.0
+
+    def coalesce(self, mask):
+        self.active -= mask
+        self.done += mask
+
+    def compact(self, *extra):
+        """Drop finished replicates from the state and from ``extra``."""
+        keep = self.done < self.n_events
+        if not keep.all():
+            self.ids, self.t, self.epoch, self.active, self.done = (
+                a[keep] for a in (self.ids, self.t, self.epoch, self.active, self.done)
+            )
+            extra = tuple(a[keep] for a in extra)
+        return extra
+
+
+class _Draws:
+    """Per-replicate blocks of unit draws, one row per replicate.
+
+    Every live replicate takes one column per round, so all share the column
+    pointer, and a replicate's refill after each ``BLOCK`` of its own rounds
+    reads its own Generator only.
+    """
+
+    def __init__(self, rngs: list, kinds: tuple[str, ...]):
+        self.rngs, self.kinds = rngs, kinds
+        self.blocks = [np.empty((len(rngs), BLOCK)) for _ in kinds]
+        self.col = BLOCK
+
+    def next(self, ids: np.ndarray) -> list[np.ndarray]:
+        if self.col == BLOCK:
+            for r in ids.tolist():
+                rng = self.rngs[r]
+                for block, kind in zip(self.blocks, self.kinds):
+                    getattr(rng, kind)(out=block[r])
+            self.col = 0
+        col = self.col
+        self.col += 1
+        return [block[ids, col] for block in self.blocks]
+
+
+def _runs(reps: int, ids: np.ndarray, *cols) -> list[list[np.ndarray]]:
+    """Per-round columns regrouped per replicate, each run in round order."""
+    order = np.argsort(ids, kind="stable")
+    cuts = np.searchsorted(ids[order], np.arange(1, reps))
+    return [np.split(c[order], cuts) for c in cols]
+
+
+def _by_event(times: np.ndarray, events: np.ndarray, n_events: int) -> list[np.ndarray]:
+    """Latent times grouped by the coalescent event that closed them."""
+    return np.split(times, np.searchsorted(events, np.arange(1, n_events)))
+
+
 def simulate_hetero_thinning(
     samp_times,
     samp_counts,
     spec: DeterministicSpec,
-    rng: np.random.Generator,
+    rng,
     record_latent: bool = False,
     proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-) -> SimulationRecord:
+):
     """Thinning simulation of serially sampled coalescent times.
 
     Candidates are proposed from an exponential clock at the dominating level
     times the pair count, capped at the next sampling time and at the
-    envelope window; acceptance probability is 1/(N_e * bound).
+    envelope window; acceptance probability is 1/(N_e * bound).  ``rng`` is
+    one Generator (one record) or a list of them (one record each).
     """
-    st, sc = _check_schedule(samp_times, samp_counts)
+    rngs, batch = _generators(rng)
+    reps = len(rngs)
     traj = spec.traj
     window = spec.resolved_window()
-    m = len(st)
-    i = 0
-    t = 0.0
-    active = int(sc[0])
-    events_left = int(sc.sum()) - 1
-    coal: list[float] = []
-    groups: list[np.ndarray] = []
-    current: list[float] = []
-    n_proposals = 0
-    proposals_this_event = 0
-    while events_left > 0:
-        if active < 2:
-            if i + 1 >= m:
-                raise SimulationError("single lineage left with no further samples")
-            i += 1
-            t = float(st[i])
-            active += int(sc[i])
-            continue
-        pairs = active * (active - 1) / 2.0
-        boundary = float(st[i + 1]) if i + 1 < m else math.inf
-        wend = min(t + window, boundary)
-        lam_loc = spec.lam if spec.lam is not None else float(traj.sup_inv_ne(t, wend))
-        if not math.isfinite(lam_loc) or lam_loc <= 0:
+    walk = _Walk(samp_times, samp_counts, reps)
+    draws = _Draws(rngs, ("standard_exponential", "random"))
+    coal = np.empty((reps, walk.n_events))
+    n_proposals = np.zeros(reps, dtype=int)
+    this_event = np.zeros(reps, dtype=int)
+    latent = []  # per round, rows replicate, time, event index of the rejections
+    while len(walk.ids):
+        pairs = walk.pairs()
+        e, u = draws.next(walk.ids)
+        boundary = walk.boundary()
+        wend = np.minimum(walk.t + window, boundary)
+        lam = spec.lam if spec.lam is not None else traj.sup_inv_ne(walk.t, wend)
+        bad = ~(np.isfinite(lam) & (lam > 0))
+        if bad.any():
+            j = int(np.argmax(np.broadcast_to(bad, wend.shape)))
+            level = np.broadcast_to(lam, wend.shape)[j]
             raise EvaluationError(
-                f"dominating level {lam_loc} on [{t}, {wend}] is unusable; "
+                f"dominating level {level} on [{walk.t[j]}, {wend[j]}] is unusable; "
                 "shrink the window or supply a certified lam"
             )
-        proposals_this_event += 1
-        if proposals_this_event > proposal_cap:
+        this_event += 1
+        if this_event.max() > proposal_cap:
             raise SimulationError(
                 f"proposal cap {proposal_cap} exceeded within one coalescent "
                 "interval; the bound is far above 1/N_e or the hazard integral converges"
             )
-        gap = rng.exponential(1.0 / (pairs * lam_loc))
-        if t + gap > wend:
-            t = wend
-            if wend == boundary and i + 1 < m:
-                i += 1
-                active += int(sc[i])
-            continue
-        t = t + gap
-        n_proposals += 1
-        u = rng.random()
-        ratio = float(traj.inv_ne(t)) / lam_loc
-        if ratio > 1.0 + 1e-9:
+        t = walk.t + e / (pairs * lam)
+        over = t > wend
+        walk.t = np.where(over, wend, t)
+        walk.advance(over & (wend == boundary))
+        inside = ~over
+        n_proposals[walk.ids] += inside
+        ratio = traj.inv_ne(walk.t) / lam
+        violated = inside & (ratio > 1.0 + 1e-9)
+        if violated.any():
+            j = int(np.argmax(violated))
+            level = np.broadcast_to(lam, wend.shape)[j]
             raise SimulationError(
-                f"certified bound violated: 1/N_e(t)={ratio * lam_loc:.6g} exceeds "
-                f"the dominating level {lam_loc:.6g} at t={t:.6g}"
+                f"certified bound violated: 1/N_e(t)={ratio[j] * level:.6g} exceeds "
+                f"the dominating level {level:.6g} at t={walk.t[j]:.6g}"
             )
-        if u <= ratio:
-            coal.append(t)
-            groups.append(np.asarray(current, dtype=float))
-            current = []
-            active -= 1
-            events_left -= 1
-            proposals_this_event = 0
-        elif record_latent:
-            current.append(t)
-    return SimulationRecord(
-        samp_times=st,
-        samp_counts=sc,
-        coal_times=np.asarray(coal),
-        latent_by_interval=groups if record_latent else [],
-        n_proposals=n_proposals,
-    )
+        accept = inside & (u <= ratio)
+        coal[walk.ids[accept], walk.done[accept]] = walk.t[accept]
+        if record_latent:
+            reject = inside & ~accept
+            latent.append(np.stack((walk.ids, walk.t, walk.done))[:, reject])
+        walk.coalesce(accept)
+        this_event[accept] = 0
+        (this_event,) = walk.compact(this_event)
+    groups = [[] for _ in range(reps)]
+    if record_latent:
+        runs = _runs(reps, *np.concatenate(latent, axis=1))
+        groups = [_by_event(lt, le, walk.n_events) for lt, le in zip(*runs)]
+    records = [
+        SimulationRecord(
+            samp_times=walk.st,
+            samp_counts=walk.sc,
+            coal_times=coal[r],
+            latent_by_interval=groups[r],
+            n_proposals=int(n_proposals[r]),
+        )
+        for r in range(reps)
+    ]
+    return records if batch else records[0]
 
 
 def simulate_iso_thinning(
     n: int,
     spec: DeterministicSpec,
-    rng: np.random.Generator,
+    rng,
     record_latent: bool = False,
     proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-) -> SimulationRecord:
+):
     """Isochronous thinning: all n samples at time 0."""
     return simulate_hetero_thinning(
         [0.0], [n], spec, rng, record_latent=record_latent, proposal_cap=proposal_cap
@@ -233,148 +344,134 @@ def simulate_hetero_thinning_gp(
     samp_counts,
     kernel: GPKernel,
     lam: float,
-    rng: np.random.Generator,
+    rng,
     proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-) -> SimulationRecord:
+):
     """Thinning simulation under the sigmoidal-GP population size.
 
     Each candidate draws its f-value from the GP conditional on all retained
-    points and is accepted with probability sigmoid(f).  Rejected candidates
-    before the next sampling time are retained as latent points; candidates
-    beyond it are discarded (accepted ones reset the clock to that sampling
-    time), so the record is one exact draw of the augmented model.
+    points and is accepted with probability sigmoid(f).  Candidates before
+    the next sampling time are retained (accepted ones as coalescent events,
+    rejected ones as latent points); the first candidate at or beyond it is
+    discarded and restarts the clock there, so the record is one exact draw
+    of the augmented model.  ``rng`` is one Generator (one record) or a list
+    of them (one record each).
     """
-    st, sc = _check_schedule(samp_times, samp_counts)
     if lam <= 0:
         raise EvaluationError("lam must be positive")
-    m = len(st)
-    i = 0
-    t = 0.0
-    active = int(sc[0])
-    events_left = int(sc.sum()) - 1
-    coal: list[float] = []
-    groups: list[np.ndarray] = []
-    current: list[float] = []
-    f_times: list[float] = []
-    f_values: list[float] = []
-    f_is_coal: list[bool] = []
-    n_proposals = 0
-    proposals_this_event = 0
-    while events_left > 0:
-        if active < 2:
-            if i + 1 >= m:
-                raise SimulationError("single lineage left with no further samples")
-            i += 1
-            t = float(st[i])
-            active += int(sc[i])
-            continue
-        pairs = active * (active - 1) / 2.0
-        boundary = float(st[i + 1]) if i + 1 < m else math.inf
-        proposals_this_event += 1
-        if proposals_this_event > proposal_cap:
+    rngs, batch = _generators(rng)
+    reps = len(rngs)
+    walk = _Walk(samp_times, samp_counts, reps)
+    draws = _Draws(rngs, ("standard_exponential", "random", "standard_normal"))
+    n_proposals = np.zeros(reps, dtype=int)
+    this_event = np.zeros(reps, dtype=int)
+    left_t, left_f = np.full(reps, -math.inf), np.zeros(reps)  # last retained point
+    kept = []  # per round, rows replicate, time, f-value, accepted, event index
+    while len(walk.ids):
+        pairs = walk.pairs()
+        e, u, z = draws.next(walk.ids)
+        this_event += 1
+        if this_event.max() > proposal_cap:
             raise SimulationError(
                 f"proposal cap {proposal_cap} exceeded; the GP has drifted far "
                 "negative and acceptances have effectively stopped"
             )
-        gap = rng.exponential(1.0 / (pairs * lam))
-        u = rng.random()
-        tprop = t + gap
-        n_proposals += 1
-        left = (f_times[-1], f_values[-1]) if f_times else None
-        mean, var = kernel.cond_moments(tprop, left, None)
-        fval = mean + math.sqrt(var) * rng.standard_normal()
-        if u <= _sigmoid(fval):
-            if tprop < boundary:
-                f_times.append(tprop)
-                f_values.append(fval)
-                f_is_coal.append(True)
-                coal.append(tprop)
-                groups.append(np.asarray(current, dtype=float))
-                current = []
-                active -= 1
-                events_left -= 1
-                proposals_this_event = 0
-                t = tprop
-            else:
-                i += 1
-                t = float(st[i])
-                active += int(sc[i])
-        else:
-            if tprop < boundary:
-                f_times.append(tprop)
-                f_values.append(fval)
-                f_is_coal.append(False)
-                current.append(tprop)
-            t = tprop
-    return SimulationRecord(
-        samp_times=st,
-        samp_counts=sc,
-        coal_times=np.asarray(coal),
-        latent_by_interval=groups,
-        gp_field=LatentField(f_times, f_values, f_is_coal),
-        n_proposals=n_proposals,
-    )
+        n_proposals[walk.ids] += 1
+        t = walk.t + e / (pairs * lam)
+        mean, var = kernel.cond_moments_many(t, left_t, left_f, math.inf, 0.0)
+        f = mean + np.sqrt(var) * z
+        accept = u <= sigmoid(f)
+        inside = t < walk.boundary()
+        kept.append(np.stack((walk.ids, t, f, accept, walk.done))[:, inside])
+        left_t, left_f = np.where(inside, t, left_t), np.where(inside, f, left_f)
+        walk.t = t
+        walk.advance(~inside)
+        event = inside & accept
+        walk.coalesce(event)
+        this_event[event] = 0
+        left_t, left_f, this_event = walk.compact(left_t, left_f, this_event)
+    ids, times, values, is_coal, events = np.concatenate(kept, axis=1)
+    del kept
+    runs = _runs(reps, ids, times, values, is_coal.astype(bool), events)
+    records = []
+    for r, (ft, fv, fc, fe) in enumerate(zip(*runs)):
+        records.append(
+            SimulationRecord(
+                samp_times=walk.st,
+                samp_counts=walk.sc,
+                coal_times=ft[fc],
+                latent_by_interval=_by_event(ft[~fc], fe[~fc], walk.n_events),
+                gp_field=LatentField(ft, fv, fc),
+                n_proposals=int(n_proposals[r]),
+            )
+        )
+    return records if batch else records[0]
 
 
 def simulate_iso_thinning_gp(
     n: int,
     kernel: GPKernel,
     lam: float,
-    rng: np.random.Generator,
+    rng,
     proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-) -> SimulationRecord:
+):
     """Isochronous GP thinning: all n samples at time 0."""
     return simulate_hetero_thinning_gp([0.0], [n], kernel, lam, rng, proposal_cap=proposal_cap)
 
 
+def _invert_hazard(traj: Trajectory, walk: _Walk, unit: np.ndarray) -> np.ndarray:
+    """Trace each replicate's unit exponentials (one row of ``unit`` per
+    replicate, one per event) through its piecewise cumulative hazard.
+
+    A round moves every live replicate either across its next sampling time,
+    when the epoch's integrated hazard is below what is left of the current
+    draw, or to its next coalescent event by inverting the remainder.
+    """
+    out = np.empty_like(unit)
+    e = unit[:, 0].copy()
+    while len(walk.ids):
+        pairs = walk.pairs()
+        boundary = walk.boundary()
+        chunk = np.full(len(e), math.inf)  # hazard left in the epoch, times pairs
+        finite = np.isfinite(boundary)
+        if finite.any():
+            chunk[finite] = pairs[finite] * traj.inv_ne_integral(walk.t[finite], boundary[finite])
+        cross = chunk < e
+        e[cross] -= chunk[cross]
+        walk.advance(cross)
+        hit = ~cross
+        t = np.asarray(traj.solve_inv_ne_integral(walk.t[hit], e[hit] / pairs[hit]), dtype=float)
+        ids, done = walk.ids[hit], walk.done[hit]
+        out[ids, done] = t
+        walk.t[hit] = t
+        walk.coalesce(hit)
+        e[hit] = unit[ids, np.minimum(done + 1, walk.n_events - 1)]  # finished rows drop out
+        (e,) = walk.compact(e)
+    return out
+
+
 def simulate_time_transform(
     traj: Trajectory,
-    rng: np.random.Generator,
+    rng,
     n: int | None = None,
     samp_times=None,
     samp_counts=None,
 ) -> np.ndarray:
     """Exact simulation by inverting the cumulative hazard (the oracle).
 
-    One unit exponential per coalescent event is traced through the piecewise
-    intensity: epochs between sampling times consume their integrated hazard,
-    the remainder is inverted analytically or by monotone bracketing.
+    One unit exponential per coalescent event, drawn in event order from the
+    replicate's Generator, is traced through the piecewise intensity: epochs
+    between sampling times consume their integrated hazard, the remainder is
+    inverted analytically or by monotone bracketing.  ``rng`` is one
+    Generator (a 1-D array of event times) or a list of them (one row each).
     """
     if n is not None:
         samp_times, samp_counts = [0.0], [n]
-    st, sc = _check_schedule(samp_times, samp_counts)
-    m = len(st)
-    i = 0
-    t = 0.0
-    active = int(sc[0])
-    events_left = int(sc.sum()) - 1
-    out: list[float] = []
-    while events_left > 0:
-        if active < 2:
-            if i + 1 >= m:
-                raise SimulationError("single lineage left with no further samples")
-            i += 1
-            t = float(st[i])
-            active += int(sc[i])
-            continue
-        e = rng.exponential(1.0)
-        while True:
-            pairs = active * (active - 1) / 2.0
-            boundary = float(st[i + 1]) if i + 1 < m else None
-            if boundary is not None:
-                chunk = pairs * traj.inv_ne_integral(t, boundary)
-                if chunk < e:
-                    e -= chunk
-                    i += 1
-                    t = boundary
-                    active += int(sc[i])
-                    continue
-            t = float(traj.solve_inv_ne_integral(t, e / pairs))
-            out.append(t)
-            active -= 1
-            events_left -= 1
-            break
-    return np.asarray(out)
+    rngs, batch = _generators(rng)
+    walk = _Walk(samp_times, samp_counts, len(rngs))
+    unit = np.array([[g.exponential() for _ in range(walk.n_events)] for g in rngs], dtype=float)
+    out = _invert_hazard(traj, walk, unit)
+    return out if batch else out[0]
 
 
 def time_transform_replicates(
@@ -382,24 +479,11 @@ def time_transform_replicates(
 ) -> np.ndarray:
     """Matrix of isochronous oracle draws, shape (replicates, n - 1).
 
-    Vectorized across replicates when the trajectory's hazard inversion
-    accepts arrays; falls back to elementwise inversion otherwise.
+    One Generator feeds the whole matrix: the unit exponentials are drawn a
+    column (one event across all replicates) at a time.
     """
-    t = np.zeros(replicates)
-    out = np.empty((replicates, n - 1))
-    for j, k in enumerate(range(n, 1, -1)):
-        pairs = k * (k - 1) / 2.0
-        e = rng.exponential(size=replicates) / pairs
-        try:
-            t = np.asarray(traj.solve_inv_ne_integral(t, e), dtype=float)
-            if t.shape != (replicates,):
-                raise TypeError
-        except (TypeError, ValueError):
-            t = np.array(
-                [traj.solve_inv_ne_integral(float(a), float(b)) for a, b in zip(t, e)]
-            )
-        out[:, j] = t
-    return out
+    unit = np.column_stack([rng.exponential(size=replicates) for _ in range(n - 1)])
+    return _invert_hazard(traj, _Walk([0.0], [n], replicates), unit)
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

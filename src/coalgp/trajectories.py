@@ -25,8 +25,21 @@ SOLVE_TIME_TOL = 1e-12
 _MAX_BRACKET_DOUBLINGS = 200
 
 
+def _elementwise(fn, *args):
+    """``fn`` of scalars mapped over its broadcast array arguments."""
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in args))
+    flat = [fn(*map(float, xs)) for xs in zip(*(a.flat for a in arrays))]
+    return np.asarray(flat, dtype=float).reshape(arrays[0].shape)[()]
+
+
 class Trajectory:
-    """Base class; subclasses must provide ``ne`` and may override the rest."""
+    """Base class; subclasses must provide ``ne`` and may override the rest.
+
+    ``inv_ne_integral``, ``solve_inv_ne_integral`` and ``sup_inv_ne`` work
+    elementwise on arrays (the simulators call them once per round for a
+    whole batch of replicates); the quadrature fallbacks here loop over the
+    elements.
+    """
 
     def ne(self, t):
         raise NotImplementedError
@@ -34,8 +47,11 @@ class Trajectory:
     def inv_ne(self, t):
         return 1.0 / self.ne(t)
 
-    def inv_ne_integral(self, a: float, b: float) -> float:
+    def inv_ne_integral(self, a, b):
         """Integral of 1/N_e over [a, b], to absolute tolerance 1e-10."""
+        return _elementwise(self._quad_inv_ne, a, b)
+
+    def _quad_inv_ne(self, a: float, b: float) -> float:
         from scipy import integrate  # deferred: only CallableTrajectory gets here
 
         if b <= a:
@@ -47,8 +63,11 @@ class Trajectory:
             )
         return value
 
-    def solve_inv_ne_integral(self, a: float, target: float) -> float:
+    def solve_inv_ne_integral(self, a, target):
         """Smallest t >= a with integral_a^t 1/N_e = target (monotone inversion)."""
+        return _elementwise(self._solve_one, a, target)
+
+    def _solve_one(self, a: float, target: float) -> float:
         from scipy import optimize  # deferred: only CallableTrajectory gets here
 
         if target <= 0.0:
@@ -56,7 +75,7 @@ class Trajectory:
         step = 1.0
         hi = a + step
         for _ in range(_MAX_BRACKET_DOUBLINGS):
-            if self.inv_ne_integral(a, hi) >= target:
+            if self._quad_inv_ne(a, hi) >= target:
                 break
             step *= 2.0
             hi = a + step
@@ -66,10 +85,10 @@ class Trajectory:
                 "integral of 1/N_e appears to converge"
             )
         return optimize.brentq(
-            lambda t: self.inv_ne_integral(a, t) - target, a, hi, xtol=SOLVE_TIME_TOL
+            lambda t: self._quad_inv_ne(a, t) - target, a, hi, xtol=SOLVE_TIME_TOL
         )
 
-    def sup_inv_ne(self, a: float, b: float) -> float:
+    def sup_inv_ne(self, a, b):
         """Supremum of 1/N_e over [a, b]; used as a local thinning bound."""
         raise EvaluationError(
             "no local bound available for this trajectory; supply a certified "
@@ -98,7 +117,7 @@ class ConstantTrajectory(Trajectory):
         return np.full_like(np.asarray(t, dtype=float), 1.0 / self.value)
 
     def inv_ne_integral(self, a, b):
-        return max(b - a, 0.0) / self.value
+        return np.maximum(np.subtract(b, a), 0.0) / self.value
 
     def solve_inv_ne_integral(self, a, target):
         return a + target * self.value
@@ -128,12 +147,12 @@ class ExpGrowthTrajectory(Trajectory):
         return np.exp(self.rate * np.asarray(t, dtype=float)) / self.n0
 
     def inv_ne_integral(self, a, b):
-        if b <= a:
-            return 0.0
+        a = np.asarray(a, dtype=float)
+        b = np.maximum(b, a)  # an empty interval integrates to 0
         r = self.rate
         if r == 0.0:
             return (b - a) / self.n0
-        return (math.exp(r * b) - math.exp(r * a)) / (r * self.n0)
+        return (np.exp(r * b) - np.exp(r * a)) / (r * self.n0)
 
     def solve_inv_ne_integral(self, a, target):
         r = self.rate
@@ -152,13 +171,8 @@ class ExpGrowthTrajectory(Trajectory):
         return float(out) if out.ndim == 0 else out
 
     def sup_inv_ne(self, a, b):
-        if self.rate > 0:
-            if not math.isfinite(b):
-                return math.inf
-            return self.inv_ne(b)
-        if self.rate < 0:
-            return self.inv_ne(a)
-        return 1.0 / self.n0
+        # 1/N_e is monotone: the supremum sits at the end it grows toward
+        return self.inv_ne(b if self.rate > 0 else a)
 
     def default_window(self):
         if self.rate == 0.0:
@@ -186,23 +200,19 @@ class BoomBustTrajectory(Trajectory):
     def ne(self, t):
         t = np.asarray(t, dtype=float)
         g, s, d = self.growth, self.peak_time, self.decay
-        return np.where(t <= s, np.exp(g * np.minimum(t, s)), np.exp(g * s - d * (np.maximum(t, s) - s)))
+        return np.exp(np.where(t <= s, g * t, g * s - d * (t - s)))
 
     def inv_ne(self, t):
         return 1.0 / self.ne(t)
 
     def inv_ne_integral(self, a, b):
-        if b <= a:
-            return 0.0
         g, s, d = self.growth, self.peak_time, self.decay
-        total = 0.0
-        if a < s:
-            hi = min(b, s)
-            total += (math.exp(-g * a) - math.exp(-g * hi)) / g
-        if b > s:
-            lo = max(a, s)
-            total += math.exp(-g * s) * (math.exp(d * (b - s)) - math.exp(d * (lo - s))) / d
-        return total
+        a = np.asarray(a, dtype=float)
+        b = np.maximum(b, a)  # an empty interval integrates to 0
+        # growth piece on [a, min(b, s)], crash piece on [max(a, s), b]
+        rise = np.where(a < s, (np.exp(-g * a) - np.exp(-g * np.minimum(b, s))) / g, 0.0)
+        crash = math.exp(-g * s) * (np.exp(d * (b - s)) - np.exp(d * (np.maximum(a, s) - s))) / d
+        return rise + np.where(b > s, crash, 0.0)
 
     def solve_inv_ne_integral(self, a, target):
         g, s, d = self.growth, self.peak_time, self.decay
@@ -219,13 +229,10 @@ class BoomBustTrajectory(Trajectory):
         return float(out) if out.ndim == 0 else out
 
     def sup_inv_ne(self, a, b):
-        # 1/N_e decreases to the peak and increases after it
-        hi = self.inv_ne(a)
-        if math.isfinite(b):
-            hi = max(hi, float(self.inv_ne(b)))
-        else:
-            return math.inf
-        return float(hi)
+        # 1/N_e decreases to the peak and increases after it: the larger end
+        finite = np.isfinite(b)
+        ends = np.maximum(self.inv_ne(a), self.inv_ne(np.where(finite, b, a)))
+        return np.where(finite, ends, math.inf)[()]
 
     def default_window(self):
         return 0.5 / max(self.growth, self.decay)

@@ -281,15 +281,79 @@ class TestExtractCommand:
         ) == 0
 
 
+def _records(tmp_path, stem, reps):
+    """Replicate files of a batch, without their meta block."""
+    out = []
+    for r in range(reps):
+        payload = json.loads((tmp_path / f"{stem}_{r:04d}.json").read_text())
+        del payload["meta"]
+        out.append(payload)
+    return out
+
+
+SIM_INPUTS = {
+    "constant": ["--iso", "-n", 5, "--traj", "constant:1", "--lambda", 1, "--record-latent"],
+    "boombust-schedule": ["--schedule", "0:3,0.3:2,0.8:2", "--traj", "boombust"],
+    "gp-schedule": ["--schedule", "0:3,0.3:2,0.8:2", "--kernel", "bm", "--init-var", 1, "--lambda", 3],
+    "gp-ou": ["--iso", "-n", 8, "--kernel", "ou", "--lambda", 4],
+}
+
+
 def test_replicates_parallel_workers_match_serial(tmp_path):
-    base = ["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--lambda", 1,
-            "--seed", 11, "--replicates", 6]
-    assert run(base + ["--out", tmp_path / "ser.json"]) == 0
-    assert run(base + ["--workers", 2, "--out", tmp_path / "par.json"]) == 0
-    for r in range(6):
-        a = json.loads((tmp_path / f"ser_{r:04d}.json").read_text())
-        b = json.loads((tmp_path / f"par_{r:04d}.json").read_text())
-        assert a["coal_times"] == b["coal_times"]
+    for name, inputs in SIM_INPUTS.items():
+        base = ["simulate", *inputs, "--seed", 11, "--replicates", 7]
+        assert run(base + ["--out", tmp_path / f"{name}-ser.json"]) == 0
+        assert run(base + ["--workers", 3, "--out", tmp_path / f"{name}-par.json"]) == 0
+        assert _records(tmp_path, f"{name}-ser", 7) == _records(tmp_path, f"{name}-par", 7), name
+
+
+@pytest.mark.parametrize("name", sorted(SIM_INPUTS))
+def test_replicate_files_do_not_depend_on_batch_size(tmp_path, name):
+    base = ["simulate", *SIM_INPUTS[name], "--seed", 5]
+    assert run(base + ["--replicates", 6, "--out", tmp_path / "big.json"]) == 0
+    assert run(base + ["--replicates", 2, "--out", tmp_path / "small.json"]) == 0
+    assert run(base + ["--out", tmp_path / "one.json"]) == 0
+    big = _records(tmp_path, "big", 6)
+    assert _records(tmp_path, "small", 2) == big[:2]
+    one = json.loads((tmp_path / "one.json").read_text())
+    del one["meta"]
+    assert {"replicate": 0, **one} == big[0]
+
+
+def test_batch_proposal_cap_exits_3_and_writes_nothing(tmp_path, capsys):
+    # lam 2 against N_e = 1 rejects half the candidates: among 20 replicates
+    # some event needs more than 3 proposals
+    code = run(
+        ["simulate", "--iso", "-n", 4, "--traj", "constant:1", "--lambda", 2,
+         "--proposal-cap", 3, "--replicates", 20, "--seed", 0, "--out", tmp_path / "cap.json"]
+    )
+    assert code == 3
+    assert "proposal cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--iso", "-n", 5, "--kernel", "bm", "--lambda", 2, "--replicates", 0], "--replicates"),
+        (["simulate", "--iso", "-n", 5, "--kernel", "bm", "--lambda", 2, "--replicates", -2], "--replicates"),
+        (["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--replicates", -2], "--replicates"),
+        (["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--replicates", 4, "--workers", 0], "--workers"),
+        (["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--replicates", 4, "--workers", -4], "--workers"),
+        (["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--replicates", "many"], "--replicates"),
+        (["infer", "--data", "d.json", "--chains", 0], "--chains"),
+        (["infer", "--data", "d.json", "--chains", 2, "--workers", -1], "--workers"),
+    ],
+)
+def test_count_flags_below_one_exit_2(tmp_path, capsys, argv, flag):
+    # argument handling only: the parser rejects the value before any work
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", tmp_path / "x.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_multi_chain_files(tmp_path):
@@ -348,3 +412,18 @@ def test_commands_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert (tmp_path / "r_ks_report.json").exists()
+
+
+def test_import_cli_loads_no_process_pool():
+    # the pool machinery loads only for --workers > 1
+    script = (
+        "import sys, coalgp.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import expit, logit
 
-from coalgp.errors import CoalgpError, SimulationError
+from coalgp.errors import CoalgpError, SimulationError, ValidationError
 from coalgp.gp_prior import BrownianMotionKernel, OrnsteinUhlenbeckKernel
 from coalgp.likelihood import inv_ne_from_f
 from coalgp.simulate import (
@@ -247,3 +247,131 @@ def test_record_json_round_trip(rng):
     rec3 = simulate_iso_thinning(5, spec, rng, record_latent=True)
     rec4 = SimulationRecord.from_json(rec3.to_json())
     assert np.array_equal(rec3.latent_times, rec4.latent_times)
+
+
+def _gens(seeds):
+    return [np.random.Generator(np.random.Philox(s)) for s in seeds]
+
+
+def _assert_same_record(a, b):
+    assert np.array_equal(a.coal_times, b.coal_times)
+    assert a.n_proposals == b.n_proposals
+    assert len(a.latent_by_interval) == len(b.latent_by_interval)
+    for ga, gb in zip(a.latent_by_interval, b.latent_by_interval):
+        assert np.array_equal(ga, gb)
+    assert (a.gp_field is None) == (b.gp_field is None)
+    if a.gp_field is not None:
+        assert np.array_equal(a.gp_field.times, b.gp_field.times)
+        assert np.array_equal(a.gp_field.values, b.gp_field.values)
+        assert np.array_equal(a.gp_field.is_coal, b.gp_field.is_coal)
+
+
+SCHEDULES = [([0.0], [8]), ([0.0, 0.3, 0.8], [3, 2, 2])]
+SEEDS = list(range(40, 52))
+
+
+class TestBatchComposition:
+    """Replicate r of a batch equals the single call with Generator r."""
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("record_latent", [False, True])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DeterministicSpec(ConstantTrajectory(0.8), lam=1.25),
+            DeterministicSpec(ExpGrowthTrajectory(25.0, 5.0)),
+            DeterministicSpec(BoomBustTrajectory()),
+        ],
+        ids=["constant", "expgrowth", "boombust"],
+    )
+    def test_deterministic_thinner(self, schedule, record_latent, spec):
+        st, sc = schedule
+        batch = simulate_hetero_thinning(st, sc, spec, _gens(SEEDS), record_latent=record_latent)
+        part = simulate_hetero_thinning(st, sc, spec, _gens(SEEDS[5:9]), record_latent=record_latent)
+        assert len(batch) == len(SEEDS) and len(part) == 4
+        for r, seed in enumerate(SEEDS):
+            (gen,) = _gens([seed])
+            single = simulate_hetero_thinning(st, sc, spec, gen, record_latent=record_latent)
+            _assert_same_record(batch[r], single)
+            assert len(single.latent_by_interval) == (sum(sc) - 1 if record_latent else 0)
+        for r in range(4):
+            _assert_same_record(part[r], batch[5 + r])
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize(
+        "kernel",
+        [BrownianMotionKernel(theta=1.0, init_var=1.0), OrnsteinUhlenbeckKernel(theta=2.0, phi=1.5)],
+        ids=["bm", "ou"],
+    )
+    def test_gp_thinner(self, schedule, kernel):
+        st, sc = schedule
+        batch = simulate_hetero_thinning_gp(st, sc, kernel, 3.0, _gens(SEEDS))
+        part = simulate_hetero_thinning_gp(st, sc, kernel, 3.0, _gens(SEEDS[7:]))
+        for r, seed in enumerate(SEEDS):
+            (gen,) = _gens([seed])
+            _assert_same_record(batch[r], simulate_hetero_thinning_gp(st, sc, kernel, 3.0, gen))
+        for r, rec in enumerate(part):
+            _assert_same_record(rec, batch[7 + r])
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize(
+        "traj",
+        [ConstantTrajectory(0.8), ExpGrowthTrajectory(25.0, 5.0), BoomBustTrajectory()],
+        ids=["constant", "expgrowth", "boombust"],
+    )
+    def test_oracle(self, schedule, traj):
+        st, sc = schedule
+        batch = simulate_time_transform(traj, _gens(SEEDS), samp_times=st, samp_counts=sc)
+        assert batch.shape == (len(SEEDS), sum(sc) - 1)
+        for r, seed in enumerate(SEEDS):
+            (gen,) = _gens([seed])
+            single = simulate_time_transform(traj, gen, samp_times=st, samp_counts=sc)
+            assert single.shape == (sum(sc) - 1,)
+            assert np.array_equal(batch[r], single)
+        assert np.array_equal(
+            simulate_time_transform(traj, _gens(SEEDS[3:6]), samp_times=st, samp_counts=sc), batch[3:6]
+        )
+
+    def test_iso_wrappers_pass_batches_through(self):
+        spec = DeterministicSpec(BoomBustTrajectory())
+        kernel = BrownianMotionKernel(theta=1.0, init_var=2.0)
+        for a, b in zip(simulate_iso_thinning(6, spec, _gens(SEEDS)),
+                        simulate_hetero_thinning([0.0], [6], spec, _gens(SEEDS))):
+            _assert_same_record(a, b)
+        for a, b in zip(simulate_iso_thinning_gp(6, kernel, 2.0, _gens(SEEDS)),
+                        simulate_hetero_thinning_gp([0.0], [6], kernel, 2.0, _gens(SEEDS))):
+            _assert_same_record(a, b)
+
+    def test_proposal_cap_stops_the_batch(self):
+        # lam 2 with N_e = 1: half the candidates are rejected, so some
+        # replicate of the batch needs more than 3 proposals for an event
+        spec = DeterministicSpec(ConstantTrajectory(1.0), lam=2.0)
+        with pytest.raises(SimulationError, match="cap"):
+            simulate_iso_thinning(4, spec, _gens(SEEDS), proposal_cap=3)
+
+
+def test_gp_discards_at_most_one_candidate_per_sampling_time():
+    # the first candidate at or past the next sampling time moves the
+    # replicate there; no further candidates are drawn beyond it
+    st, sc = [0.0, 0.3, 0.8], [3, 2, 2]
+    kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
+    recs = [simulate_hetero_thinning_gp(st, sc, kernel, 3.0, gen) for gen in _gens(range(200))]
+    discarded = np.array([rec.n_proposals - len(rec.gp_field.times) for rec in recs])
+    assert np.all(discarded >= 0)
+    assert np.all(discarded <= len(st) - 1)
+
+
+def test_record_from_json_validates():
+    good = {"samp_times": [0.0], "samp_counts": [3], "coal_times": [0.2, 0.5], "latent_by_interval": [[], []]}
+    assert np.array_equal(SimulationRecord.from_json(good).coal_times, [0.2, 0.5])
+    for key in good:
+        bad = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ValidationError, match=key):
+            SimulationRecord.from_json(bad)
+    with pytest.raises(ValidationError, match="f_values"):
+        SimulationRecord.from_json({**good, "f_times": [0.2, 0.5], "f_is_coal": [True, True]})
+    with pytest.raises(ValidationError, match="malformed"):
+        SimulationRecord.from_json({**good, "coal_times": ["x", 0.5]})
+    for obj in ([1, 2], "record", None):
+        with pytest.raises(ValidationError, match="JSON object"):
+            SimulationRecord.from_json(obj)

@@ -56,6 +56,33 @@ def test_solve_vectorized_matches_scalar(traj, rng):
     assert np.allclose(vec, scal, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("traj", BUILTINS)
+def test_array_forms_match_scalar_calls(traj, rng):
+    # the simulators call these once per round for a whole batch
+    a = rng.uniform(0.0, 1.5, size=9)
+    b = a + rng.uniform(0.0, 1.0, size=9)
+    b[0] = a[0]  # empty interval
+    b[1] = a[1] - 0.2  # reversed interval integrates to 0
+    integral = traj.inv_ne_integral(a, b)
+    sup = traj.sup_inv_ne(a[2:], b[2:])
+    for j in range(9):
+        assert integral[j] == traj.inv_ne_integral(float(a[j]), float(b[j]))
+    assert integral[0] == 0.0 and integral[1] == 0.0
+    for j in range(7):
+        assert np.broadcast_to(sup, (7,))[j] == traj.sup_inv_ne(float(a[j + 2]), float(b[j + 2]))
+
+
+def test_quadrature_fallbacks_loop_over_arrays():
+    traj = CallableTrajectory(lambda t: 2.0 + np.sin(t), bound=1.0)
+    a, b = np.array([0.0, 0.5, 1.0]), np.array([0.4, 0.5, 2.5])
+    integral = traj.inv_ne_integral(a, b)
+    assert integral.shape == (3,)
+    assert np.array_equal(integral, [traj.inv_ne_integral(x, y) for x, y in zip(a, b)])
+    t = traj.solve_inv_ne_integral(a, np.array([0.1, 0.2, 0.3]))
+    assert t.shape == (3,)
+    assert np.allclose(traj.inv_ne_integral(a, t), [0.1, 0.2, 0.3], atol=1e-9)
+
+
 def test_expgrowth_closed_form_inverse():
     # unit-exponential draw of 1 under N_e(t) = 25 exp(-5 t) from t=0
     traj = ExpGrowthTrajectory(25.0, 5.0)
