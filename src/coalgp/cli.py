@@ -9,7 +9,8 @@ call for a contiguous chunk of replicates.  Replicate r draws only from its
 own stream, so its file is the same for every batch size and worker count
 (apart from ``meta``).  Count flags (--replicates, --workers, --chains)
 must be at least 1.  Exit codes: 0 on
-success, 2 for usage or input-validation problems, 3 for runtime failures
+success, 2 for usage or input-validation problems (including unreadable or
+unwritable paths), 3 for runtime failures
 (proposal caps, sampler aborts); a sampler abort writes a state dump next to
 the requested output.
 """
@@ -77,9 +78,12 @@ def _parse_schedule(text: str) -> tuple[list[float], list[int]]:
 
 
 def _build_kernel(args):
-    if args.kernel == "bm":
-        return BrownianMotionKernel(theta=args.theta, init_var=args.init_var)
-    return OrnsteinUhlenbeckKernel(theta=args.theta, phi=args.phi)
+    try:
+        if args.kernel == "bm":
+            return BrownianMotionKernel(theta=args.theta, init_var=args.init_var)
+        return OrnsteinUhlenbeckKernel(theta=args.theta, phi=args.phi)
+    except EvaluationError as exc:  # an out-of-range flag value
+        raise ValidationError(str(exc)) from None
 
 
 def _simulate_batch(args, model, start: int, stop: int) -> list:
@@ -109,6 +113,8 @@ def cmd_simulate(args) -> int:
         raise ValidationError("exactly one of --traj or --kernel must be given")
     if args.iso and args.n is None:
         raise ValidationError("--iso requires -n")
+    if args.lam is not None and args.lam <= 0:
+        raise ValidationError(f"--lambda must be positive, got {args.lam}")
     if args.traj is not None:
         model = DeterministicSpec(parse_trajectory(args.traj), lam=args.lam, window=args.window)
     elif args.lam is None:
@@ -370,7 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NewickError, ValidationError, ValueError, FileNotFoundError) as exc:
+    except (NewickError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (SimulationError, McmcError, EvaluationError, CoalgpError) as exc:

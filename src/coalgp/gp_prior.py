@@ -3,13 +3,15 @@
 Two kernels are supported: Brownian motion with a diffuse free initial level
 (covariance (init_var + min(t, t'))/theta) and a stationary
 Ornstein-Uhlenbeck process (covariance exp(-phi*|t - t'|)/theta).  Both are
-Markov, so at sorted times t_1 < ... < t_d the law factors into innovations,
-f_1 ~ N(0, v_1/theta) and f_i | f_{i-1} ~ N(rho_i f_{i-1}, v_i/theta)
-(Rue & Held 2005).  The precision is tridiagonal, its bidiagonal Cholesky
-factor is read off (rho, v) directly, every conditional draw depends only on
-the two bracketing points, and density, quadratic form and prior draws are
-O(d) array passes.  Only v carries theta, so the precision is theta * Q(1),
-which the Gibbs update for theta relies on.
+Markov, and a kernel states only its increment law: ``innovation(t0, t1)``
+gives the theta-free (rho, v) with f(t1) | f(t0) ~ N(rho f(t0), v/theta),
+where t0 = -inf stands for the start of the process (Rue & Held 2005).
+Everything else derives from it.  At sorted times the innovations are the
+bidiagonal Cholesky factor of the tridiagonal precision, so density,
+quadratic form and prior draws are O(d) array passes; a conditional draw
+needs only the two bracketing points, and one array routine draws any set of
+new times given a field.  Only v carries theta, so the precision is
+theta * Q(1), which the Gibbs update for theta relies on.
 """
 
 from __future__ import annotations
@@ -114,18 +116,30 @@ class TridiagPrecision:
 
 
 class _MarkovKernel:
-    """Scalar front end shared by the kernels' array conditional moments."""
+    """Everything a kernel needs beyond its increment law ``innovation``."""
 
-    def cond_moments(self, t, left, right):
+    def cond_moments_many(self, t, left_t, left_f, right_t, right_f):
         """Mean and variance of f(t) given its bracketing known values.
 
-        ``left``/``right`` are (time, value) pairs or None; the Markov
-        property makes these two points sufficient.
+        Elementwise over arrays.  A missing left neighbour has time -inf and a
+        missing right one +inf, each with value 0.  With (r1, v1) the
+        innovation from the left point to t and (r2, v2) from t to the right
+        point, the right point observes f(t) with gain r2 and noise v2, so
+        with q = r2 v1 / v2 the conditional is a one-step Kalman update.  A
+        missing right point has q = 0.
         """
-        left_t, left_f = left if left is not None else (-math.inf, 0.0)
-        right_t, right_f = right if right is not None else (math.inf, 0.0)
-        mean, var = self.cond_moments_many(t, left_t, left_f, right_t, right_f)
-        return float(mean), float(var)
+        r1, v1 = self.innovation(left_t, t)
+        r2, v2 = self.innovation(t, right_t)
+        q = r2 * v1 / v2
+        den = 1.0 + r2 * q
+        mean = r1 * left_f + (q / den) * (right_f - r2 * r1 * left_f)
+        return mean, v1 / (den * self.theta)
+
+
+def _steps(times):
+    """(previous time, time) pairs along sorted ``times``, -inf before the first."""
+    t = np.asarray(times, dtype=float)
+    return np.concatenate(([-np.inf], t[:-1])), t
 
 
 @dataclass(frozen=True)
@@ -144,45 +158,25 @@ class BrownianMotionKernel(_MarkovKernel):
     def with_theta(self, theta: float) -> "BrownianMotionKernel":
         return replace(self, theta=theta)
 
-    def _shifted(self, times: np.ndarray) -> np.ndarray:
-        u = np.asarray(times, dtype=float) + self.init_var
-        if np.any(u <= 0):
+    def innovation(self, t0, t1):
+        """Theta-free increment law from t0 to t1: rho = 1, v = u1 - u0 in
+        shifted time u = t + init_var.  t0 = -inf is the pinned start of the
+        shifted motion, u = 0 with f = 0."""
+        u1 = np.asarray(t1, dtype=float) + self.init_var
+        if np.any(u1 <= 0):
             raise EvaluationError(
                 "Brownian motion with init_var=0 is pinned to 0 at t=0; "
                 "all times must satisfy t + init_var > 0"
             )
-        return u
+        return np.ones_like(u1), u1 - np.maximum(np.asarray(t0, dtype=float) + self.init_var, 0.0)
 
     def structure_tridiag(self, times: np.ndarray) -> TridiagPrecision:
-        """Theta-free precision Q(1); the full precision is theta * Q(1).
-
-        Innovations: rho = 1, v_1 = t_1 + init_var, v_i = t_i - t_{i-1}.
-        """
-        u = self._shifted(times)
-        return TridiagPrecision(np.ones(len(u)), np.diff(u, prepend=0.0))
+        """Theta-free precision Q(1); the full precision is theta * Q(1)."""
+        return TridiagPrecision(*self.innovation(*_steps(times)))
 
     def covariance(self, times: np.ndarray) -> np.ndarray:
-        u = self._shifted(times)
+        u = np.asarray(times, dtype=float) + self.init_var
         return np.minimum.outer(u, u) / self.theta
-
-    def cond_moments_many(self, t, left_t, left_f, right_t, right_f):
-        """Mean and variance of f(t) given its bracketing known values.
-
-        Every argument may be an array (elementwise).  A missing left
-        neighbour has time -inf and stands for the pinned start of the
-        shifted motion (u = 0, f = 0); a missing right neighbour has time
-        +inf.  The values of missing neighbours must be 0.
-        """
-        u = t + self.init_var
-        ul = np.maximum(left_t + self.init_var, 0.0)
-        if np.any(u <= ul):
-            raise EvaluationError("time precedes the pinned start of the motion")
-        ur = right_t + self.init_var
-        gap_l, gap_r = u - ul, ur - u
-        w = gap_l / (ur - ul)  # 0 without a right neighbour
-        mean = left_f + w * (right_f - left_f)
-        var = gap_l / ((1.0 + gap_l / gap_r) * self.theta)
-        return mean, var
 
 
 @dataclass(frozen=True)
@@ -199,30 +193,19 @@ class OrnsteinUhlenbeckKernel(_MarkovKernel):
     def with_theta(self, theta: float) -> "OrnsteinUhlenbeckKernel":
         return replace(self, theta=theta)
 
+    def innovation(self, t0, t1):
+        """Theta-free increment law from t0 to t1: rho = exp(-phi*gap),
+        v = 1 - rho^2.  t0 = -inf is the stationary start, rho = 0, v = 1."""
+        gap = np.asarray(t1, dtype=float) - t0
+        return np.exp(-self.phi * gap), -np.expm1(-2.0 * self.phi * gap)  # 1 - rho^2, stable for tiny gaps
+
     def structure_tridiag(self, times: np.ndarray) -> TridiagPrecision:
-        """Theta-free precision Q(1): rho = exp(-phi*gap), v = 1 - rho^2, v_1 = 1."""
-        gaps = np.diff(np.asarray(times, dtype=float), prepend=-np.inf)
-        rho = np.exp(-self.phi * gaps)
-        return TridiagPrecision(rho, -np.expm1(-2.0 * self.phi * gaps))  # 1 - rho^2, stable for tiny gaps
+        """Theta-free precision Q(1); the full precision is theta * Q(1)."""
+        return TridiagPrecision(*self.innovation(*_steps(times)))
 
     def covariance(self, times: np.ndarray) -> np.ndarray:
         t = np.asarray(times, dtype=float)
         return np.exp(-self.phi * np.abs(np.subtract.outer(t, t))) / self.theta
-
-    def cond_moments_many(self, t, left_t, left_f, right_t, right_f):
-        """Mean and variance of f(t) given its bracketing known values.
-
-        Elementwise over arrays.  A missing neighbour has time -inf (left) or
-        +inf (right) and value 0; the formulas need no special case, as its
-        correlation exp(-phi * inf) is 0.
-        """
-        gap_l, gap_r = t - left_t, right_t - t
-        rl, rr = np.exp(-self.phi * gap_l), np.exp(-self.phi * gap_r)
-        dl, dr = -np.expm1(-2.0 * self.phi * gap_l), -np.expm1(-2.0 * self.phi * gap_r)
-        den = 1.0 - (rl * rr) ** 2
-        mean = (rl * dr * left_f + rr * dl * right_f) / den
-        var = dl * dr / (den * self.theta)
-        return mean, var
 
 
 GPKernel = BrownianMotionKernel | OrnsteinUhlenbeckKernel
@@ -287,13 +270,6 @@ class LatentField:
     def copy(self) -> "LatentField":
         return LatentField(self.times, self.values, self.is_coal)
 
-    def neighbors(self, t: float):
-        """Bracketing (time, value) pairs around t, None past either end."""
-        j = int(np.searchsorted(self.times, t))
-        left = (self.times[j - 1], self.values[j - 1]) if j > 0 else None
-        right = (self.times[j], self.values[j]) if j < self.size else None
-        return left, right, j
-
     @staticmethod
     def _inserted(arr, j, value):
         out = np.empty(len(arr) + 1, dtype=arr.dtype)
@@ -342,70 +318,58 @@ class LatentField:
         return self.times[self.is_coal]
 
 
+def run_rank(keys: np.ndarray) -> np.ndarray:
+    """Position of each entry within its run of equal consecutive keys."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return np.arange(len(keys)) - np.flatnonzero(starts)[np.cumsum(starts) - 1]
+
+
 def conditional_draw_at(
     field: LatentField, t: float, kernel: GPKernel, rng: np.random.Generator
 ) -> float:
     """One exact draw of f(t) given the field (t must not collide)."""
-    left, right, _ = field.neighbors(t)
-    if (left is not None and left[0] == t) or (right is not None and right[0] == t):
+    j = int(np.searchsorted(field.times, t))
+    if j < field.size and field.times[j] == t:
         raise EvaluationError(f"time {t} already present in the field")
-    mean, var = kernel.cond_moments(t, left, right)
-    return mean + math.sqrt(var) * rng.standard_normal()
-
-
-def conditional_draw(
-    field: LatentField,
-    new_times: np.ndarray,
-    kernel: GPKernel,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Joint exact draw of f at ``new_times`` given the field.
-
-    New points are processed in increasing order, each conditioning on the
-    nearest known point on either side (field points and previously drawn new
-    points), which by the Markov property reproduces the full conditional.
-    """
-    new_times = np.asarray(new_times, dtype=float)
-    order = np.argsort(new_times, kind="stable")
-    out = np.empty(len(new_times))
-    last: tuple[float, float] | None = None
-    for idx in order:
-        t = float(new_times[idx])
-        left, right, _ = field.neighbors(t)
-        if (left is not None and left[0] == t) or (right is not None and right[0] == t):
-            raise EvaluationError(f"time {t} already present in the field")
-        if last is not None and (left is None or last[0] > left[0]):
-            left = last
-        mean, var = kernel.cond_moments(t, left, right)
-        val = mean + math.sqrt(var) * rng.standard_normal()
-        out[idx] = val
-        last = (t, val)
-    return out
+    return float(predictive_grid_draw(field, [t], kernel, rng)[0])
 
 
 def predictive_grid_draw(
     field: LatentField,
-    grid: np.ndarray,
+    times: np.ndarray,
     kernel: GPKernel,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Joint draw of f on a sorted grid; grid points on field times copy them."""
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise EvaluationError("grid must be strictly increasing")
-    out = np.empty(len(grid))
-    last: tuple[float, float] | None = None
-    for i, t in enumerate(grid):
-        t = float(t)
-        left, right, j = field.neighbors(t)
-        if right is not None and right[0] == t:
-            out[i] = right[1]
-            last = (t, right[1])
-            continue
-        if last is not None and (left is None or last[0] > left[0]):
-            left = last
-        mean, var = kernel.cond_moments(t, left, right)
-        val = mean + math.sqrt(var) * rng.standard_normal()
-        out[i] = val
-        last = (t, val)
+    """Joint exact draw of f at sorted ``times`` given the field.
+
+    Times on field points copy their values.  The new times inside one field
+    gap are drawn in time order, each given the previous one (or the gap's
+    left end) and the gap's right end, which by the Markov property is the
+    full conditional.  Gaps are conditionally independent, so pass k draws
+    the k-th new time of every gap at once; the normals are read in time
+    order.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) <= 0):
+        raise EvaluationError("times must be strictly increasing")
+    # the field padded with its missing neighbours; gap g lies between
+    # padded points g and g + 1
+    pad_t = np.concatenate(([-np.inf], field.times, [np.inf]))
+    pad_f = np.concatenate(([0.0], field.values, [0.0]))
+    gap = np.searchsorted(field.times, times)
+    on = pad_t[gap + 1] == times
+    out = pad_f[gap + 1]  # a fancy-indexed copy; new times are overwritten
+    new = np.flatnonzero(~on)
+    gap, t = gap[new], times[new]
+    left_t, left_f = pad_t[gap], pad_f[gap]
+    z = rng.standard_normal(len(new))
+    rank = run_rank(gap)
+    for k in range(int(rank.max(initial=-1)) + 1):
+        rows = np.flatnonzero(rank == k)
+        if k:
+            left_t[rows], left_f[rows] = t[rows - 1], out[new[rows - 1]]
+        g = gap[rows]
+        mean, var = kernel.cond_moments_many(t[rows], left_t[rows], left_f[rows], pad_t[g + 1], pad_f[g + 1])
+        out[new[rows]] = mean + np.sqrt(var) * z[rows]
     return out

@@ -36,6 +36,8 @@ from .gp_prior import (
     kernel_from_json,
     kernel_to_json,
     log_prior_density,
+    predictive_grid_draw,
+    run_rank,
 )
 from .likelihood import LambdaPrior, lambda_log_prior, log_augmented_likelihood, log_sigmoid
 
@@ -243,9 +245,7 @@ def rj_passes(grid: IntervalGrid) -> list[np.ndarray]:
     live = np.flatnonzero((grid.coal_factor > 0) & (grid.lengths > 0))
     if len(live) == 0:
         return []
-    block = grid.event_index[live]
-    first = np.flatnonzero(np.r_[True, block[1:] != block[:-1]])
-    rank = np.arange(len(live)) - np.repeat(first, np.diff(np.r_[first, len(live)]))
+    rank = run_rank(grid.event_index[live])
     return [live[rank == k] for k in range(int(rank.max()) + 1)]
 
 
@@ -288,16 +288,7 @@ def _rj_pass(state, grid, kern, rng, js, counters):
     on_point = (pos < field.size) & (field.times[np.minimum(pos, field.size - 1)] == x)
     fresh = ~on_point & (x > grid.starts[add])
     add, x, pos = add[fresh], x[fresh], pos[fresh]
-    has_l, has_r = pos > 0, pos < field.size
-    left, right = np.maximum(pos - 1, 0), np.minimum(pos, field.size - 1)
-    mean, var = kern.cond_moments_many(
-        x,
-        np.where(has_l, field.times[left], -np.inf),
-        np.where(has_l, field.values[left], 0.0),
-        np.where(has_r, field.times[right], np.inf),
-        np.where(has_r, field.values[right], 0.0),
-    )
-    f_star = mean + np.sqrt(var) * rng.standard_normal(len(x))
+    f_star = predictive_grid_draw(field, x, kern, rng)
     took_add = _accept(
         rj_log_accept_add(grid.lengths[add], state.lam, grid.coal_factor[add], count[add], f_star),
         rng,

@@ -378,8 +378,8 @@ def simulate_hetero_thinning_gp(
             )
         n_proposals[walk.ids] += 1
         t = walk.t + e / (pairs * lam)
-        mean, var = kernel.cond_moments_many(t, left_t, left_f, math.inf, 0.0)
-        f = mean + np.sqrt(var) * z
+        rho, v = kernel.innovation(left_t, t)
+        f = rho * left_f + np.sqrt(v / kernel.theta) * z
         accept = u <= sigmoid(f)
         inside = t < walk.boundary()
         kept.append(np.stack((walk.ids, t, f, accept, walk.done))[:, inside])

@@ -356,6 +356,45 @@ def test_count_flags_below_one_exit_2(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--iso", "-n", 5, "--kernel", "ou", "--theta", 0, "--lambda", 2],
+        ["simulate", "--iso", "-n", 5, "--kernel", "ou", "--phi", -1, "--lambda", 2],
+        ["simulate", "--iso", "-n", 5, "--kernel", "bm", "--init-var", -1, "--lambda", 2],
+        ["simulate", "--iso", "-n", 5, "--kernel", "bm", "--lambda", -2],
+        ["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--lambda", 0],
+        ["infer", "--tree", "t.nwk", "--theta", 0],
+        ["infer", "--tree", "t.nwk", "--kernel", "ou", "--phi", -1],
+    ],
+)
+def test_out_of_range_flag_values_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.nwk").write_text(TREE)
+    assert run(argv + ["--out", "x.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.nwk"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summarize", "--chain", "d", "--out", "s.csv"],
+        ["infer", "--data", "d", "--out", "c.jsonl"],
+        ["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--lambda", 1, "--out", "d"],
+    ],
+    ids=["summarize-chain", "infer-data", "simulate-out"],
+)
+def test_directory_path_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a directory where a file is expected is an input error, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_multi_chain_files(tmp_path):
     tree = tmp_path / "t.nwk"
     tree.write_text(TREE)

@@ -14,7 +14,6 @@ from coalgp.gp_prior import (
     LatentField,
     OrnsteinUhlenbeckKernel,
     build_precision,
-    conditional_draw,
     conditional_draw_at,
     kernel_from_json,
     kernel_to_json,
@@ -184,18 +183,33 @@ class TestLogPriorDensity:
         assert log_prior_density(times, f, kernel) == pytest.approx(total, abs=1e-8)
 
 
+def bm_ou_closed_forms(kernel, t, lt, lf, rt, rf):
+    """The kernels' conditional moments written out per kernel: the Brownian
+    bridge in shifted time, and the OU two-sided regression."""
+    if isinstance(kernel, BrownianMotionKernel):
+        u, ul, ur = t + kernel.init_var, np.maximum(lt + kernel.init_var, 0.0), rt + kernel.init_var
+        gap_l, gap_r = u - ul, ur - u
+        mean = lf + gap_l / (ur - ul) * (rf - lf)
+        return mean, gap_l / ((1.0 + gap_l / gap_r) * kernel.theta)
+    phi = kernel.phi
+    rl, rr = np.exp(-phi * (t - lt)), np.exp(-phi * (rt - t))
+    dl, dr = -np.expm1(-2.0 * phi * (t - lt)), -np.expm1(-2.0 * phi * (rt - t))
+    den = 1.0 - (rl * rr) ** 2
+    return (rl * dr * lf + rr * dl * rf) / den, dl * dr / (den * kernel.theta)
+
+
 class TestConditionalMoments:
     def test_bm_bridge_closed_form(self):
         # between f(1)=a and f(3)=b the midpoint is Brownian-bridge distributed
         k = BrownianMotionKernel(theta=2.0, init_var=1.5)
         a, b = 0.7, -0.4
-        mean, var = k.cond_moments(2.0, (1.0, a), (3.0, b))
+        mean, var = k.cond_moments_many(2.0, 1.0, a, 3.0, b)
         assert mean == pytest.approx((a + b) / 2)
         assert var == pytest.approx(0.5 / 2.0)
 
     def test_bm_forward_extension(self):
         k = BrownianMotionKernel(theta=0.8, init_var=3.0)
-        mean, var = k.cond_moments(5.0, (2.0, 1.1), None)
+        mean, var = k.cond_moments_many(5.0, 2.0, 1.1, np.inf, 0.0)
         assert mean == pytest.approx(1.1)
         assert var == pytest.approx(3.0 / 0.8)
 
@@ -211,15 +225,13 @@ class TestConditionalMoments:
             new_i = int(np.where(cov5_times == t_new)[0][0])
             known_i = [i for i in range(5) if i != new_i]
             mean_o, var_o = dense_conditional(cov, np.array(known_i), np.array([new_i]), f)
-            left = None
-            right = None
-            below = times[times < t_new]
-            above = times[times > t_new]
-            if len(below):
-                left = (float(below[-1]), float(f[np.where(times == below[-1])[0][0]]))
-            if len(above):
-                right = (float(above[0]), float(f[np.where(times == above[0])[0][0]]))
-            mean, var = kernel.cond_moments(t_new, left, right)
+            lt, lf, rt, rf = -np.inf, 0.0, np.inf, 0.0
+            below = times < t_new
+            if below.any():
+                lt, lf = times[below][-1], f[below][-1]
+            if (~below).any():
+                rt, rf = times[~below][0], f[~below][0]
+            mean, var = kernel.cond_moments_many(t_new, lt, lf, rt, rf)
             assert mean == pytest.approx(float(mean_o[0]), abs=1e-10)
             assert var == pytest.approx(float(var_o[0, 0]), abs=1e-10)
 
@@ -239,25 +251,55 @@ class TestConditionalMoments:
             rt[~has_r], rf[~has_r] = np.inf, 0.0
             mean, var = kernel.cond_moments_many(t, lt, lf, rt, rf)
             for i in range(n):
-                left = (lt[i], lf[i]) if has_l[i] else None
-                right = (rt[i], rf[i]) if has_r[i] else None
-                m1, v1 = kernel.cond_moments(float(t[i]), left, right)
-                assert mean[i] == pytest.approx(m1, rel=1e-12, abs=1e-12)
-                assert var[i] == pytest.approx(v1, rel=1e-12, abs=1e-12)
+                m1, v1 = kernel.cond_moments_many(float(t[i]), lt[i], lf[i], rt[i], rf[i])
+                assert mean[i] == pytest.approx(float(m1), rel=1e-12, abs=1e-12)
+                assert var[i] == pytest.approx(float(v1), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["bm", "ou"])
+    def test_shared_moments_match_kernel_closed_forms(self, kind, rng):
+        # the moments derived from the innovations against each kernel's own
+        # formulas, with gaps down to 1e-6 and missing neighbours
+        kernel = random_kernel(rng, kind)
+        n = 400
+        t = rng.uniform(0.5, 4.0, size=n)
+        lt = t - 10.0 ** rng.uniform(-6, 0, size=n)
+        rt = t + 10.0 ** rng.uniform(-6, 0, size=n)
+        lf, rf = rng.standard_normal(n), rng.standard_normal(n)
+        lt[::3], lf[::3] = -np.inf, 0.0
+        rt[::5], rf[::5] = np.inf, 0.0
+        mean, var = kernel.cond_moments_many(t, lt, lf, rt, rf)
+        mean_o, var_o = bm_ou_closed_forms(kernel, t, lt, lf, rt, rf)
+        assert np.allclose(mean, mean_o, rtol=1e-10, atol=1e-12)
+        assert np.allclose(var, var_o, rtol=1e-10, atol=0.0)
 
     def test_missing_neighbour_closed_forms(self):
         bm = BrownianMotionKernel(theta=2.0, init_var=1.5)
         # no left neighbour: bridge from the pinned start (u=0, f=0)
-        mean, var = bm.cond_moments(1.0, None, (3.0, 0.9))
+        mean, var = bm.cond_moments_many(1.0, -np.inf, 0.0, 3.0, 0.9)
         assert mean == pytest.approx(0.9 * 2.5 / 4.5)
         assert var == pytest.approx(2.5 * 2.0 / (4.5 * 2.0))
-        mean, var = bm.cond_moments(1.0, None, None)
+        mean, var = bm.cond_moments_many(1.0, -np.inf, 0.0, np.inf, 0.0)
         assert (mean, var) == (0.0, pytest.approx(2.5 / 2.0))
         ou = OrnsteinUhlenbeckKernel(theta=0.5, phi=1.3)
-        mean, var = ou.cond_moments(1.0, None, (1.4, 0.8))
+        mean, var = ou.cond_moments_many(1.0, -np.inf, 0.0, 1.4, 0.8)
         assert mean == pytest.approx(math.exp(-1.3 * 0.4) * 0.8)
         assert var == pytest.approx(-math.expm1(-2.6 * 0.4) / 0.5)
-        assert ou.cond_moments(1.0, None, None) == (0.0, pytest.approx(2.0))
+        assert ou.cond_moments_many(1.0, -np.inf, 0.0, np.inf, 0.0) == (0.0, pytest.approx(2.0))
+
+    @pytest.mark.parametrize("kind", ["bm", "ou"])
+    def test_innovation_matches_dense_covariance(self, kind, rng):
+        # rho = C01 / C00 and v / theta = C11 - C01^2 / C00; from t0 = -inf
+        # the innovation is the marginal law (BM from its pinned start)
+        for _ in range(10):
+            kernel = random_kernel(rng, kind)
+            t0, t1 = np.sort(rng.uniform(0.0, 4.0, size=2))
+            c = kernel.covariance([t0, t1])
+            rho, v = kernel.innovation(t0, t1)
+            assert rho == pytest.approx(c[0, 1] / c[0, 0], rel=1e-12)
+            assert v / kernel.theta == pytest.approx(c[1, 1] - c[0, 1] ** 2 / c[0, 0], rel=1e-10)
+            rho, v = kernel.innovation(-np.inf, t1)
+            assert rho == (1.0 if kind == "bm" else 0.0)
+            assert v / kernel.theta == pytest.approx(c[1, 1], rel=1e-12)
 
     def test_draw_monte_carlo_moments(self, rng):
         # 1e5 draws between two anchors: sample moments within 4 standard errors
@@ -265,11 +307,22 @@ class TestConditionalMoments:
         field = LatentField([1.0, 3.0], [0.6, -0.2], [True, True])
         n = 100_000
         draws = np.array([conditional_draw_at(field, 2.0, kernel, rng) for _ in range(n)])
-        mean, var = kernel.cond_moments(2.0, (1.0, 0.6), (3.0, -0.2))
+        mean, var = kernel.cond_moments_many(2.0, 1.0, 0.6, 3.0, -0.2)
         se_mean = math.sqrt(var / n)
         assert abs(draws.mean() - mean) < 4 * se_mean
         se_var = var * math.sqrt(2.0 / (n - 1))
         assert abs(draws.var(ddof=1) - var) < 4 * se_var
+
+
+class FixedNormals:
+    """A stand-in generator whose normals are given in advance."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+
+    def standard_normal(self, n):
+        assert n == len(self.z)
+        return self.z.copy()
 
 
 class TestJointDraws:
@@ -287,8 +340,8 @@ class TestJointDraws:
         state = rng.bit_generator.state
         a = predictive_grid_draw(field, np.array([2.0]), kernel, rng)
         rng.bit_generator.state = state
-        b = conditional_draw(field, np.array([2.0]), kernel, rng)
-        assert a[0] == b[0]
+        b = conditional_draw_at(field, 2.0, kernel, rng)
+        assert a[0] == b
 
     def test_joint_grid_covariance_matches_dense(self, rng):
         # empirical covariance of a 3-point joint draw against the dense oracle
@@ -305,6 +358,29 @@ class TestJointDraws:
         assert np.allclose(draws.mean(axis=0), mean_o, atol=4 * np.sqrt(np.diag(var_o) / n))
         emp = np.cov(draws.T)
         assert np.allclose(emp, var_o, atol=5 * np.max(np.abs(var_o)) * math.sqrt(2.0 / n) + 5e-4)
+
+    @pytest.mark.parametrize("kind", ["bm", "ou"])
+    @pytest.mark.parametrize("field_times", [(), (1.0, 2.5)], ids=["empty", "two-points"])
+    def test_draw_is_the_dense_conditional(self, kind, field_times, rng):
+        # the draw is affine in its normals, out = b + A z; with several new
+        # times before, between and after the field points, b must be the
+        # dense conditional mean and A A^T its covariance
+        kernel = random_kernel(rng, kind)
+        field_times = np.array(field_times)
+        f = rng.standard_normal(len(field_times))
+        field = LatentField(field_times, f, np.ones(len(f), dtype=bool))
+        grid = np.array([0.2, 0.6, 0.9, 1.3, 1.6, 1.7, 2.1, 3.0, 3.4])
+        b = predictive_grid_draw(field, grid, kernel, FixedNormals(np.zeros(len(grid))))
+        a = np.column_stack(
+            [predictive_grid_draw(field, grid, kernel, FixedNormals(e)) - b for e in np.eye(len(grid))]
+        )
+        all_times = np.sort(np.r_[field_times, grid])
+        known = np.searchsorted(all_times, field_times)
+        new = np.searchsorted(all_times, grid)
+        mean_o, var_o = dense_conditional(kernel.covariance(all_times), known, new, f)
+        assert np.allclose(b, mean_o, atol=1e-10)
+        assert np.allclose(a @ a.T, var_o, atol=1e-10)
+        assert np.allclose(np.tril(a), a)  # each time sees only the normals up to its own
 
     def test_insert_then_remove_leaves_density_unchanged(self, rng):
         kernel = random_kernel(rng)
