@@ -7,12 +7,12 @@ byte-identical outputs regardless of worker scheduling.  ``simulate
 :mod:`coalgp.simulate`); with ``--workers k`` each of k processes makes one
 call for a contiguous chunk of replicates.  Replicate r draws only from its
 own stream, so its file is the same for every batch size and worker count
-(apart from ``meta``).  Count flags (--replicates, --workers, --chains)
-must be at least 1.  Exit codes: 0 on
-success, 2 for usage or input-validation problems (including unreadable or
-unwritable paths), 3 for runtime failures
-(proposal caps, sampler aborts); a sampler abort writes a state dump next to
-the requested output.
+(apart from ``meta``).  Count flags (--replicates, --workers, --chains,
+--proposal-cap) must be at least 1.  Exit codes: 0 on success, 2 for usage
+or input-validation problems (including unreadable or unwritable paths and
+out-of-range parameter values), 3 for runtime failures (proposal caps,
+sampler aborts); a sampler abort writes a state dump next to the requested
+output.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CoalgpError, EvaluationError, McmcError, NewickError, SimulationError, ValidationError
+from .errors import CoalgpError, McmcError, NewickError, SimulationError, ValidationError
 from .genealogy import CoalescentData, extract_coalescent_data, parse_newick, read_tip_dates
 from .gp_prior import BrownianMotionKernel, OrnsteinUhlenbeckKernel, kernel_to_json
 from .mcmc import ChainOutput, McmcConfig, run_chain
@@ -78,12 +78,9 @@ def _parse_schedule(text: str) -> tuple[list[float], list[int]]:
 
 
 def _build_kernel(args):
-    try:
-        if args.kernel == "bm":
-            return BrownianMotionKernel(theta=args.theta, init_var=args.init_var)
-        return OrnsteinUhlenbeckKernel(theta=args.theta, phi=args.phi)
-    except EvaluationError as exc:  # an out-of-range flag value
-        raise ValidationError(str(exc)) from None
+    if args.kernel == "bm":
+        return BrownianMotionKernel(theta=args.theta, init_var=args.init_var)
+    return OrnsteinUhlenbeckKernel(theta=args.theta, phi=args.phi)
 
 
 def _simulate_batch(args, model, start: int, stop: int) -> list:
@@ -251,6 +248,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    truth = parse_trajectory(args.truth) if args.truth is not None else None
     with open(args.chain) as fh:
         chain = ChainOutput.read_jsonl(fh)
     if not chain.draws:
@@ -271,9 +269,8 @@ def cmd_summarize(args) -> int:
     with open(out, "w") as fh:
         summary.write_csv(fh)
     print(f"wrote {out} ({len(grid)} rows)", file=sys.stderr)
-    if args.truth is not None:
-        truth = parse_trajectory(args.truth).ne(grid)
-        report = metric_report(summary, truth)
+    if truth is not None:
+        report = metric_report(summary, truth.ne(grid))
         metrics_path = _out_path(args.metrics_out or str(Path(args.out).with_suffix(".metrics.json")))
         with open(metrics_path, "w") as fh:
             report.write_json(fh)
@@ -286,7 +283,8 @@ def cmd_summarize(args) -> int:
 
 
 def _count(text: str) -> int:
-    """Value of a count flag (replicates, workers, chains): an integer >= 1."""
+    """Value of a count flag (replicates, workers, chains, proposal cap): an
+    integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--lambda", dest="lam", type=float, help="certified bound on 1/N_e")
     sim.add_argument("--window", type=float, help="lookahead width for the local-bound envelope")
     sim.add_argument("--record-latent", action="store_true", help="record thinned points (deterministic runs)")
-    sim.add_argument("--proposal-cap", type=int, default=10_000_000, help="proposals allowed per coalescent interval")
+    sim.add_argument("--proposal-cap", type=_count, default=10_000_000, help="proposals allowed per coalescent interval")
     sim.add_argument("--replicates", type=_count, default=1)
     sim.add_argument("--workers", type=_count, default=1, help="processes, each simulating one contiguous chunk of replicates")
     sim.add_argument("--seed", type=int, default=0)
@@ -379,7 +377,7 @@ def main(argv=None) -> int:
     except (NewickError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (SimulationError, McmcError, EvaluationError, CoalgpError) as exc:
+    except CoalgpError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -427,6 +427,21 @@ class IntervalGrid:
             raise ValidationError("some times lie outside the genealogy's span")
         return j
 
+    def latent_slices(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each interval's latent points sit in a field's sorted times.
+
+        ``times`` holds every coalescent event of the grid plus latent points,
+        strictly increasing.  Interval j's latent points are the contiguous
+        run ``times[first[j]:first[j] + count[j]]``: the field times in
+        (starts[j], ends[j]] less the coalescent event closing the interval.
+        Points outside (0, root] belong to no interval, so ``count.sum()``
+        falls short of the field's latent points exactly when some lie there.
+        The intervals tile (0, root], each starting where the last ends, so
+        one search over the boundaries serves both ends.
+        """
+        cut = np.searchsorted(times, np.append(self.starts, self.ends[-1:]), side="right")
+        return cut[:-1], np.diff(cut) - self.ends_with_coal
+
 
 def extract_coalescent_data(g: Genealogy, height_atol: float = 1e-9) -> CoalescentData:
     """Reduce a genealogy to coalescent times and the sampling schedule.

@@ -151,9 +151,9 @@ class BrownianMotionKernel(_MarkovKernel):
 
     def __post_init__(self):
         if self.theta <= 0:
-            raise EvaluationError("theta must be positive")
+            raise ValidationError("theta must be positive")
         if self.init_var < 0:
-            raise EvaluationError("init_var must be non-negative")
+            raise ValidationError("init_var must be non-negative")
 
     def with_theta(self, theta: float) -> "BrownianMotionKernel":
         return replace(self, theta=theta)
@@ -188,7 +188,7 @@ class OrnsteinUhlenbeckKernel(_MarkovKernel):
 
     def __post_init__(self):
         if self.theta <= 0 or self.phi <= 0:
-            raise EvaluationError("theta and phi must be positive")
+            raise ValidationError("theta and phi must be positive")
 
     def with_theta(self, theta: float) -> "OrnsteinUhlenbeckKernel":
         return replace(self, theta=theta)

@@ -70,10 +70,8 @@ def log_coalescent_likelihood(
     """
     if grid is None:
         grid = build_interval_grid(d)
-    hazard = 0.0
-    for a, b, c in zip(grid.starts, grid.ends, grid.coal_factor):
-        if c > 0:
-            hazard += c * traj.inv_ne_integral(float(a), float(b))
+    c = grid.coal_factor > 0
+    hazard = float(np.sum(grid.coal_factor[c] * traj.inv_ne_integral(grid.starts[c], grid.ends[c])))
     ends = grid.ends[grid.ends_with_coal]
     factors = grid.coal_factor[grid.ends_with_coal]
     points = float(np.sum(np.log(factors) - np.log(traj.ne(ends))))
@@ -85,6 +83,8 @@ def log_augmented_likelihood(field: LatentField, grid: IntervalGrid, lam: float)
 
     The field must carry an f-value at every coalescent event of the grid and
     at every latent point; latent points must fall inside the grid's span.
+    Each interval's latent count comes from the field through
+    :meth:`IntervalGrid.latent_slices`.
     """
     if lam <= 0:
         return -math.inf
@@ -98,14 +98,14 @@ def log_augmented_likelihood(field: LatentField, grid: IntervalGrid, lam: float)
     f_coal = field.values[field.is_coal]
     factors = grid.coal_factor[grid.ends_with_coal]
     total += float(np.sum(np.log(lam * factors)) + np.sum(log_sigmoid(f_coal)))
-    latent_t = field.latent_times()
-    if len(latent_t):
-        j = grid.interval_of_many(latent_t)
-        f_lat = field.values[~field.is_coal]
-        with np.errstate(divide="ignore"):
-            total += float(np.sum(np.log(lam * grid.coal_factor[j])))
-        total += float(np.sum(log_sigmoid(-f_lat)))
-    return total
+    f_lat = field.values[~field.is_coal]
+    _, count = grid.latent_slices(field.times)
+    if count.sum() != len(f_lat):
+        raise ValidationError("some times lie outside the genealogy's span")
+    held = count > 0  # a zero count must not meet log(0) and give nan
+    with np.errstate(divide="ignore"):
+        total += float(np.sum(count[held] * np.log(lam * grid.coal_factor[held])))
+    return total + float(np.sum(log_sigmoid(-f_lat)))
 
 
 @dataclass(frozen=True)

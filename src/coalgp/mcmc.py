@@ -16,6 +16,11 @@ blocks conditionally independent.  Pass k therefore proposes, scores and
 applies the moves of the k-th interval of every block with a handful of array
 operations and one splice of the field.  The number of passes is the most
 intervals any block holds: 1 for isochronous data.
+
+The chain state is the field, theta and lambda alone.  How many latent points
+each interval holds, and where they sit in the field, is read off the field
+by :meth:`IntervalGrid.latent_slices` whenever a kernel or the likelihood
+needs it, so no count is kept in step by hand.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, McmcError, ValidationError, require_keys
+from .errors import McmcError, ValidationError, require_keys
 from .genealogy import CoalescentData, IntervalGrid, build_interval_grid
 from .gp_prior import (
     GPKernel,
@@ -43,10 +48,6 @@ from .likelihood import LambdaPrior, lambda_log_prior, log_augmented_likelihood,
 
 _TWO_PI = 2.0 * math.pi
 _MAX_SLICE_SHRINKS = 10_000
-
-
-def _softplus(x: float) -> float:
-    return float(np.logaddexp(0.0, x))
 
 
 @dataclass
@@ -71,6 +72,8 @@ class McmcConfig:
         for name in ("theta_alpha", "theta_beta", "lambda_hat", "lambda_eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.lambda_halfwidth is not None and not self.lambda_halfwidth > 0:
+            raise ValueError("lambda_halfwidth must be positive (None: 0.1 * lambda_hat)")
         if self.rj_sweeps < 0 or self.location_moves < 0:
             raise ValueError("per-iteration move counts must be non-negative")
 
@@ -85,29 +88,21 @@ class McmcConfig:
 
 @dataclass
 class ChainState:
-    """One point of the augmented-posterior chain."""
+    """One point of the augmented-posterior chain: the field (f-values at
+    the coalescent events and the latent points), theta and lambda.  Latent
+    counts per interval are derived from the field, never stored."""
 
     field: LatentField
     theta: float
     lam: float
-    latent_count: np.ndarray  # latent points per grid interval
 
     @classmethod
-    def initial(cls, grid: IntervalGrid, cfg: McmcConfig) -> "ChainState":
+    def initial(cls, grid: IntervalGrid, kernel: GPKernel, cfg: McmcConfig) -> "ChainState":
+        """No latent points, f = 0 at every coalescent event, theta from the
+        kernel and lambda at the prior's best guess."""
         coal = grid.coal_event_times
         field = LatentField(coal, np.zeros(len(coal)), np.ones(len(coal), dtype=bool))
-        theta = cfg.theta_alpha / cfg.theta_beta
-        if not math.isfinite(theta) or theta <= 0:
-            theta = 1.0
-        return cls(
-            field=field,
-            theta=theta,
-            lam=cfg.lambda_hat,
-            latent_count=np.zeros(grid.n_intervals, dtype=int),
-        )
-
-    def copy(self) -> "ChainState":
-        return ChainState(self.field.copy(), self.theta, self.lam, self.latent_count.copy())
+        return cls(field=field, theta=kernel.theta, lam=cfg.lambda_hat)
 
 
 @dataclass
@@ -191,7 +186,7 @@ class ChainOutput:
         try:
             config = McmcConfig(**require_keys(header["config"], (), "chain header config"))
             kernel = kernel_from_json(header["kernel"])
-        except (TypeError, EvaluationError) as exc:  # unknown or mistyped settings
+        except (TypeError, ValueError) as exc:  # unknown or mistyped settings, bad config values
             raise ValidationError(f"chain header holds a malformed setting: {exc}") from None
         return cls(
             draws=[ChainDraw.from_json(obj) for obj in records],
@@ -275,7 +270,8 @@ def rj_update(
 
 
 def _rj_pass(state, grid, kern, rng, js, counters):
-    field, count = state.field, state.latent_count
+    field = state.field
+    first, count = grid.latent_slices(field.times)
     is_add = rng.random(len(js)) < 0.5
     add, rem = js[is_add], js[~is_add]
     if counters is not None:
@@ -296,7 +292,7 @@ def _rj_pass(state, grid, kern, rng, js, counters):
 
     rem = rem[count[rem] > 0]
     m = count[rem]
-    pick = np.searchsorted(field.times, grid.starts[rem], side="right") + rng.integers(0, m)
+    pick = first[rem] + rng.integers(0, m)
     took_rem = _accept(
         rj_log_accept_remove(grid.lengths[rem], state.lam, grid.coal_factor[rem], m, field.values[pick]),
         rng,
@@ -307,8 +303,6 @@ def _rj_pass(state, grid, kern, rng, js, counters):
         counters["rj_remove"][0] += int(took_rem.sum())
     if took_add.any() or took_rem.any():
         field.splice(pick[took_rem], pos[took_add], x[took_add], f_star[took_add])
-        count[add[took_add]] += 1
-        count[rem[took_rem]] -= 1
 
 
 def location_update(
@@ -325,23 +319,23 @@ def location_update(
     comes from the GP conditional given the current field, giving the
     sigmoid-ratio acceptance probability.
     """
-    eligible = np.flatnonzero(state.latent_count > 0)
+    field = state.field
+    first, count = grid.latent_slices(field.times)
+    eligible = np.flatnonzero(count > 0)
     if len(eligible) == 0:
         return state
     kern = kernel.with_theta(state.theta)
-    field = state.field
     weights = grid.lengths[eligible]
     j = int(eligible[rng.choice(len(eligible), p=weights / weights.sum())])
     if counters is not None:
         counters["location"][1] += 1
-    first = int(np.searchsorted(field.times, grid.starts[j], side="right"))
-    pick = first + int(rng.integers(state.latent_count[j]))  # the interval's latent points are contiguous
+    pick = int(first[j] + rng.integers(count[j]))  # the interval's latent points are contiguous
     x_new = rng.uniform(grid.starts[j], grid.ends[j])
     pos = int(np.searchsorted(field.times, x_new))
     if pos < field.size and field.times[pos] == x_new:
         return state
     f_new = conditional_draw_at(field, x_new, kern, rng)
-    log_a = _softplus(float(field.values[pick])) - _softplus(f_new)
+    log_a = float(np.logaddexp(0.0, field.values[pick]) - np.logaddexp(0.0, f_new))
     if math.log(rng.random()) < log_a:
         field.remove(pick)
         field.insert(x_new, f_new, is_coal=False)
@@ -516,17 +510,6 @@ def log_augmented_posterior(
     return lp
 
 
-def state_from_field(
-    field: LatentField, grid: IntervalGrid, theta: float, lam: float
-) -> ChainState:
-    """Wrap an existing field (e.g. simulator output) as a chain state."""
-    counts = np.zeros(grid.n_intervals, dtype=int)
-    latent = field.latent_times()
-    if len(latent):
-        np.add.at(counts, grid.interval_of_many(latent), 1)
-    return ChainState(field.copy(), theta, lam, counts)
-
-
 def _state_dump(state: ChainState) -> dict:
     vals = state.field.values
     return {
@@ -559,7 +542,7 @@ def run_chain(
     """
     grid = build_interval_grid(data)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    state = ChainState.initial(grid, cfg)
+    state = ChainState.initial(grid, kernel, cfg)
     counters = _new_counters()
     trace = np.empty(cfg.iterations)
     draws: list[ChainDraw] = []
@@ -631,7 +614,7 @@ def run_prior_chain(cfg: McmcConfig, kernel: GPKernel, times=()) -> dict:
     g = struct.sample_zero_mean(rng) if d else None
     log_theta = 0.0
     prior = cfg.lambda_prior
-    lam_state = ChainState(LatentField(), 1.0, cfg.lambda_hat, np.zeros(0, dtype=int))
+    lam_state = ChainState(LatentField(), 1.0, cfg.lambda_hat)
     shape = cfg.theta_alpha + 0.5 * d
     out_log_theta: list[float] = []
     out_lam: list[float] = []

@@ -60,8 +60,8 @@ class DeterministicSpec:
             return math.inf
         w = self.window if self.window is not None else self.traj.default_window()
         if w is None or w <= 0:
-            raise EvaluationError(
-                "trajectory provides no local bound; pass a certified lam or a window"
+            raise ValidationError(
+                "trajectory provides no local bound; pass a certified lam or a positive window"
             )
         return w
 
@@ -135,9 +135,9 @@ def _check_schedule(samp_times, samp_counts):
     st = np.asarray(samp_times, dtype=float)
     sc = np.asarray(samp_counts, dtype=int)
     if len(st) == 0 or st[0] != 0.0 or np.any(np.diff(st) <= 0):
-        raise EvaluationError("sampling times must be strictly increasing and start at 0")
+        raise ValidationError("sampling times must be strictly increasing and start at 0")
     if np.any(sc < 1) or sc.sum() < 2:
-        raise EvaluationError("sample counts must be positive and total at least 2")
+        raise ValidationError("sample counts must be positive and total at least 2")
     return st, sc
 
 
@@ -358,7 +358,7 @@ def simulate_hetero_thinning_gp(
     of them (one record each).
     """
     if lam <= 0:
-        raise EvaluationError("lam must be positive")
+        raise ValidationError("lam must be positive")
     rngs, batch = _generators(rng)
     reps = len(rngs)
     walk = _Walk(samp_times, samp_counts, reps)

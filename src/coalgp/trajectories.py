@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, SimulationError
+from .errors import EvaluationError, SimulationError, ValidationError
 
 QUAD_ABS_TOL = 1e-10
 SOLVE_TIME_TOL = 1e-12
@@ -108,7 +108,7 @@ class ConstantTrajectory(Trajectory):
 
     def __post_init__(self):
         if self.value <= 0:
-            raise EvaluationError("constant trajectory requires a positive size")
+            raise ValidationError("constant trajectory requires a positive size")
 
     def ne(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
@@ -138,7 +138,7 @@ class ExpGrowthTrajectory(Trajectory):
 
     def __post_init__(self):
         if self.n0 <= 0:
-            raise EvaluationError("expgrowth trajectory requires n0 > 0")
+            raise ValidationError("expgrowth trajectory requires n0 > 0")
 
     def ne(self, t):
         return self.n0 * np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -195,7 +195,7 @@ class BoomBustTrajectory(Trajectory):
 
     def __post_init__(self):
         if self.growth <= 0 or self.decay <= 0 or self.peak_time <= 0:
-            raise EvaluationError("boombust requires positive growth, decay, peak_time")
+            raise ValidationError("boombust requires positive growth, decay, peak_time")
 
     def ne(self, t):
         t = np.asarray(t, dtype=float)

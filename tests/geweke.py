@@ -12,7 +12,7 @@ import numpy as np
 
 from coalgp.genealogy import CoalescentData, build_interval_grid
 from coalgp.likelihood import sample_lambda_prior
-from coalgp.mcmc import McmcConfig, mcmc_sweep, mh_lambda, state_from_field
+from coalgp.mcmc import ChainState, McmcConfig, mcmc_sweep, mh_lambda
 from coalgp.simulate import simulate_hetero_thinning_gp
 
 STAT_NAMES = ("theta", "lambda", "mean_f")
@@ -51,7 +51,7 @@ def successive_conditional(
     for s in range(n_samples):
         data = CoalescentData(rec.coal_times, samp_times, samp_counts)
         grid = build_interval_grid(data)
-        state = state_from_field(rec.gp_field, grid, theta, lam)
+        state = ChainState(rec.gp_field.copy(), theta, lam)
         for _ in range(sweeps_per_cycle):
             mcmc_sweep(state, grid, kernel, cfg, rng)
         for _ in range(extra_lambda_steps):

@@ -18,13 +18,13 @@ from coalgp.genealogy import CoalescentData, build_interval_grid
 from coalgp.gp_prior import BrownianMotionKernel, LatentField
 from coalgp.likelihood import log_augmented_likelihood, log_coalescent_likelihood
 from coalgp.mcmc import (
+    ChainState,
     McmcConfig,
     mcmc_sweep,
     rj_log_accept_add,
     rj_log_accept_remove,
     run_chain,
     run_prior_chain,
-    state_from_field,
 )
 from coalgp.simulate import (
     DeterministicSpec,
@@ -280,7 +280,7 @@ def test_criterion_9_linear_iteration_cost():
         order = np.argsort(times)
         is_coal = np.concatenate([np.ones(len(coal), bool), np.zeros(len(lat), bool)])[order]
         field = LatentField(times[order], np.zeros(len(times)), is_coal)
-        return state_from_field(field, grid, 1.0, 10.0)
+        return ChainState(field, 1.0, 10.0)
 
     def per_sweep_seconds(total_points, sweeps=20, tries=5):
         best = math.inf

@@ -176,6 +176,15 @@ class TestSummarizeCommand:
         report = json.loads(metrics.read_text())
         assert set(report) == {"sre", "mrw", "envelope", "variation", "grid_size"}
 
+    def test_bad_truth_exits_2_before_writing(self, tmp_path, capsys):
+        chain = self.make_chain(tmp_path)
+        out = tmp_path / "summary.csv"
+        capsys.readouterr()
+        assert run(["summarize", "--chain", chain, "--truth", "constant:-1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_extrapolation_warns(self, tmp_path, capsys):
         chain = self.make_chain(tmp_path)
         out = tmp_path / "summary.csv"
@@ -343,6 +352,7 @@ def test_batch_proposal_cap_exits_3_and_writes_nothing(tmp_path, capsys):
         (["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--replicates", "many"], "--replicates"),
         (["infer", "--data", "d.json", "--chains", 0], "--chains"),
         (["infer", "--data", "d.json", "--chains", 2, "--workers", -1], "--workers"),
+        (["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--proposal-cap", 0], "--proposal-cap"),
     ],
 )
 def test_count_flags_below_one_exit_2(tmp_path, capsys, argv, flag):
@@ -375,6 +385,45 @@ def test_out_of_range_flag_values_exit_2(tmp_path, capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.nwk"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--iso", "-n", 5, "--traj", "constant:-1"],
+        ["simulate", "--iso", "-n", 5, "--traj", "expgrowth:0,5"],
+        ["simulate", "--iso", "-n", 1, "--traj", "constant:1", "--lambda", 1],
+        ["simulate", "--schedule", "0:3,0.5:-2", "--traj", "constant:1", "--lambda", 1],
+        ["simulate", "--iso", "-n", 5, "--traj", "expgrowth:25,5", "--window", -1],
+        ["infer", "--tree", "t.nwk", "--halfwidth", -1],
+        ["infer", "--tree", "t.nwk", "--halfwidth", 0],
+    ],
+    ids=["constant-size", "expgrowth-n0", "one-sample", "negative-count", "window", "halfwidth", "zero-halfwidth"],
+)
+def test_bad_parameter_values_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # a parameter out of its range is an input error, found before any output
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.nwk").write_text(TREE)
+    assert run(argv + ["--out", "x.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.nwk"]
+
+
+def test_infer_theta_sets_the_starting_precision(tmp_path):
+    tree = tmp_path / "t.nwk"
+    tree.write_text(TREE)
+    draws = []
+    for theta in (1, 5):
+        out = tmp_path / f"chain{theta}.jsonl"
+        assert run(
+            ["infer", "--tree", tree, "--iters", 10, "--burnin", 0, "--thin", 1,
+             "--theta", theta, "--seed", 2, "--out", out]
+        ) == 0
+        draws.append([json.loads(line) for line in out.read_text().splitlines()[2:]])
+    assert len(draws[0]) == len(draws[1]) == 10
+    assert draws[0] != draws[1]
 
 
 @pytest.mark.parametrize(

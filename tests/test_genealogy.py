@@ -180,6 +180,36 @@ class TestIntervalGrid:
             assert grid.ends_with_coal.all()
             assert np.allclose(grid.coal_factor, [k * (k - 1) / 2 for k in range(n, 1, -1)])
 
+    def test_latent_slices_match_recount(self, rng):
+        seen = {"empty": 0, "on_sampling_time": 0, "zero_factor": 0}
+        datasets = [CoalescentData([0.3, 1.0], [0.0, 0.5], [2, 1])]  # one lineage on (0.3, 0.5]
+        datasets += [random_hetero_data(rng, max_batches=6) for _ in range(40)]
+        for d in datasets:
+            grid = build_interval_grid(d)
+            zero = grid.coal_factor == 0
+            lat = np.concatenate([
+                rng.uniform(0.0, d.tmrca, size=rng.integers(0, 12)),
+                d.samp_times[1:][rng.random(len(d.samp_times) - 1) < 0.5],
+                rng.uniform(grid.starts[zero], grid.ends[zero]),
+            ])
+            lat = np.setdiff1d(lat[lat > 0], grid.coal_event_times)
+            times = np.union1d(lat, grid.coal_event_times)
+            first, count = grid.latent_slices(times)
+            owner = grid.interval_of_many(lat)
+            assert np.array_equal(count, np.bincount(owner, minlength=grid.n_intervals))
+            for j in range(grid.n_intervals):
+                assert np.array_equal(times[first[j]:first[j] + count[j]], lat[owner == j])
+            seen["empty"] += int(np.sum(count == 0))
+            seen["on_sampling_time"] += int(np.isin(lat, d.samp_times).sum())
+            seen["zero_factor"] += int(count[zero].sum())
+        assert min(seen.values()) > 0, seen
+
+    def test_latent_slices_miss_points_outside_the_span(self):
+        grid = build_interval_grid(CoalescentData.isochronous([0.3, 1.0]))
+        times = np.array([0.0, 0.2, 0.3, 1.0, 1.5])
+        first, count = grid.latent_slices(times)
+        assert list(count) == [1, 0] and list(first) == [1, 3]
+
     def test_lineage_walk_and_total_depth(self, rng):
         for _ in range(20):
             d = random_hetero_data(rng)

@@ -171,6 +171,36 @@ class TestAugmentedLikelihood:
         with pytest.raises(ValidationError):
             log_augmented_likelihood(field, grid, 2.0)
 
+    def test_latent_point_in_zero_factor_interval_is_impossible(self):
+        grid = build_interval_grid(HETERO)  # one lineage on (0.3, 0.5]
+        assert grid.coal_factor[1] == 0.0
+        empty = LatentField([0.3, 0.7, 1.0], [0.0, 0.0, 0.0], [True, False, True])
+        assert math.isfinite(log_augmented_likelihood(empty, grid, 2.0))
+        held = LatentField([0.3, 0.4, 1.0], [0.0, 0.0, 0.0], [True, False, True])
+        assert log_augmented_likelihood(held, grid, 2.0) == -math.inf
+
+    def test_matches_per_point_sum(self, rng):
+        # the count-weighted latent term equals the sum over latent points,
+        # points on sampling times belonging to the interval they close
+        for _ in range(20):
+            d = random_hetero_data(rng, max_batches=5)
+            grid = build_interval_grid(d)
+            live = grid.coal_factor > 0
+            lat = rng.uniform(grid.starts[live], grid.ends[live])
+            lat = np.concatenate([lat, d.samp_times[1:]])
+            lat = lat[grid.coal_factor[grid.interval_of_many(lat)] > 0]
+            times = np.union1d(lat, grid.coal_event_times)
+            is_coal = np.isin(times, grid.coal_event_times)
+            values = rng.standard_normal(len(times))
+            lam = float(rng.uniform(0.5, 5.0))
+            expected = -lam * grid.total_hazard_weight
+            expected += np.sum(np.log(lam * grid.coal_factor[grid.ends_with_coal]))
+            expected += np.sum(log_expit(values[is_coal]))
+            for t, f in zip(times[~is_coal], values[~is_coal]):
+                expected += math.log(lam * grid.coal_factor[grid.interval_of(t)]) + log_expit(-f)
+            field = LatentField(times, values, is_coal)
+            assert log_augmented_likelihood(field, grid, lam) == pytest.approx(expected, rel=1e-12)
+
     def test_isochronous_reduction_is_exact(self, rng):
         # the general interval form evaluated on isochronous data equals the
         # literal per-event formula

@@ -64,14 +64,15 @@ class TestReversibleJumpRatios:
         data = small_data()
         grid = build_interval_grid(data)
         cfg = McmcConfig(iterations=10, burn_in=0, lambda_hat=3.0)
-        state = ChainState.initial(grid, cfg)
         kernel = BrownianMotionKernel(init_var=1.0)
+        state = ChainState.initial(grid, kernel, cfg)
         for _ in range(200):
             rj_update(state, grid, kernel, rng)
-        assert state.latent_count.sum() == int(np.sum(~state.field.is_coal))
+        _, count = grid.latent_slices(state.field.times)
+        assert count.sum() == int(np.sum(~state.field.is_coal))
         latent = state.field.latent_times()
         recounted = np.bincount(grid.interval_of_many(latent), minlength=grid.n_intervals)
-        assert np.array_equal(recounted, state.latent_count)
+        assert np.array_equal(recounted, count)
 
 
     def test_rj_update_bookkeeping_serial_blocks(self, rng):
@@ -79,17 +80,18 @@ class TestReversibleJumpRatios:
         grid = build_interval_grid(data)
         assert np.max(np.bincount(grid.event_index)) >= 3
         cfg = McmcConfig(iterations=10, burn_in=0, lambda_hat=3.0)
-        state = ChainState.initial(grid, cfg)
         kernel = OrnsteinUhlenbeckKernel(phi=0.7)
+        state = ChainState.initial(grid, kernel, cfg)
         for _ in range(200):
             rj_update(state, grid, kernel, rng)
-        assert state.latent_count.sum() == int(np.sum(~state.field.is_coal))
+        _, count = grid.latent_slices(state.field.times)
+        assert count.sum() == int(np.sum(~state.field.is_coal))
         assert np.all(np.diff(state.field.times) > 0)
         assert np.array_equal(state.field.coal_times(), grid.coal_event_times)
         latent = state.field.latent_times()
         recounted = np.bincount(grid.interval_of_many(latent), minlength=grid.n_intervals)
-        assert np.array_equal(recounted, state.latent_count)
-        assert state.latent_count[grid.coal_factor == 0].sum() == 0
+        assert np.array_equal(recounted, count)
+        assert recounted[grid.coal_factor == 0].sum() == 0
 
 
 class TestRjPassSchedule:
@@ -138,23 +140,27 @@ class TestLocationUpdate:
         data = small_data()
         grid = build_interval_grid(data)
         cfg = McmcConfig(iterations=10, burn_in=0)
-        state = ChainState.initial(grid, cfg)
+        kernel = BrownianMotionKernel()
+        state = ChainState.initial(grid, kernel, cfg)
         before = state.field.times.copy()
-        location_update(state, grid, BrownianMotionKernel(), rng)
+        location_update(state, grid, kernel, rng)
         assert np.array_equal(state.field.times, before)
 
     def test_moves_stay_in_interval(self, rng):
         data = small_data()
         grid = build_interval_grid(data)
         cfg = McmcConfig(iterations=10, burn_in=0, lambda_hat=4.0)
-        state = ChainState.initial(grid, cfg)
         kernel = BrownianMotionKernel(init_var=1.0)
+        state = ChainState.initial(grid, kernel, cfg)
         for _ in range(100):
             rj_update(state, grid, kernel, rng)
+            _, count = grid.latent_slices(state.field.times)
             location_update(state, grid, kernel, rng)
+            # a relocation keeps every interval's count
+            assert np.array_equal(grid.latent_slices(state.field.times)[1], count)
         latent = state.field.latent_times()
         recounted = np.bincount(grid.interval_of_many(latent), minlength=grid.n_intervals)
-        assert np.array_equal(recounted, state.latent_count)
+        assert np.array_equal(recounted, count)
 
 
 class TestEllipticalSlice:
@@ -200,7 +206,7 @@ class TestGibbsTheta:
     def test_zero_field_values(self):
         grid = build_interval_grid(small_data())
         cfg = McmcConfig(iterations=10, burn_in=0)
-        state = ChainState.initial(grid, cfg)
+        state = ChainState.initial(grid, BrownianMotionKernel(), cfg)
         extra = LatentField(
             np.append(state.field.times, 2.0), np.zeros(4), np.append(state.field.is_coal, False)
         )
@@ -218,8 +224,9 @@ class TestGibbsTheta:
     def test_draw_changes_theta(self, rng):
         grid = build_interval_grid(small_data())
         cfg = McmcConfig(iterations=10, burn_in=0)
-        state = ChainState.initial(grid, cfg)
-        gibbs_theta(state, BrownianMotionKernel(init_var=1.0), 2.0, 2.0, rng)
+        kernel = BrownianMotionKernel(init_var=1.0)
+        state = ChainState.initial(grid, kernel, cfg)
+        gibbs_theta(state, kernel, 2.0, 2.0, rng)
         assert state.theta > 0
 
 
