@@ -22,13 +22,21 @@ from .trajectories import Trajectory
 
 
 def log_sigmoid(f):
-    """log(1 / (1 + exp(-f))) as -softplus(-f): finite for every finite f."""
-    return -np.logaddexp(0.0, np.negative(f))
+    """log(1 / (1 + exp(-f))) as -softplus(-f): finite for every finite f.
+
+    softplus(x) is split as max(x, 0) + log1p(exp(-|x|)), which on a field of
+    thousands of values is several times faster than ``np.logaddexp``.
+    """
+    return np.minimum(f, 0.0) - np.log1p(np.exp(-np.abs(f)))
 
 
 def sigmoid(f):
-    """Logistic function; saturates to 0 and 1 without overflow."""
-    return np.exp(log_sigmoid(f))
+    """Logistic function; saturates to 0 and 1 without overflow.
+
+    Kept on ``np.logaddexp``: the simulators call it on a handful of values,
+    where the split form of :func:`log_sigmoid` is slower.
+    """
+    return np.exp(-np.logaddexp(0.0, np.negative(f)))
 
 
 def ne_from_f(f, lam: float):

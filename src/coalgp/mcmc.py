@@ -25,6 +25,7 @@ needs it, so no count is kept in step by hand.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -119,37 +120,72 @@ class ChainDraw:
         return LatentField(self.times, self.values, self.is_coal)
 
     def to_json(self) -> dict:
+        """JSON record of the draw; the field arrays go as base64 of their
+        little-endian bytes (float64 times and values, uint8 is_coal)."""
         return {
             "iteration": self.iteration,
             "theta": self.theta,
             "lambda": self.lam,
             "n_latent": int(np.sum(~self.is_coal)),
-            "times": self.times.tolist(),
-            "values": self.values.tolist(),
-            "is_coal": self.is_coal.astype(int).tolist(),
+            "times": _encode_array(self.times, _F8),
+            "values": _encode_array(self.values, _F8),
+            "is_coal": _encode_array(self.is_coal, _U1),
             "log_posterior": self.log_posterior,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainDraw":
+        """Draw from its JSON record.  Each field array may be a base64 string
+        or a list of numbers, the layout chain files had before; a value out of
+        range in either raises ValidationError."""
         require_keys(obj, _DRAW_KEYS, "chain draw")
         try:
-            draw = cls(
-                iteration=int(obj["iteration"]),
-                theta=float(obj["theta"]),
-                lam=float(obj["lambda"]),
-                times=np.asarray(obj["times"], dtype=float),
-                values=np.asarray(obj["values"], dtype=float),
-                is_coal=np.asarray(obj["is_coal"], dtype=bool),
-                log_posterior=float(obj["log_posterior"]),
-            )
+            iteration, log_posterior = int(obj["iteration"]), float(obj["log_posterior"])
+            theta, lam = float(obj["theta"]), float(obj["lambda"])
+            times = _decode_array(obj["times"], _F8, "times")
+            values = _decode_array(obj["values"], _F8, "values")
+            is_coal = _decode_array(obj["is_coal"], _U1, "is_coal")
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"chain draw holds a malformed value: {exc}") from None
-        if not (draw.times.ndim == 1 and draw.times.shape == draw.values.shape == draw.is_coal.shape):
-            raise ValidationError("chain draw keys 'times', 'values' and 'is_coal' must be lists of one length")
-        if np.any(np.diff(draw.times) <= 0):
+        for key, value in (("theta", theta), ("lambda", lam)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"chain draw key {key!r} must be finite and positive, not {value!r}")
+        if not (times.ndim == 1 and times.shape == values.shape == is_coal.shape):
+            raise ValidationError("chain draw keys 'times', 'values' and 'is_coal' must be arrays of one length")
+        if not np.all(np.isfinite(times) & (times > 0)):
+            raise ValidationError("chain draw key 'times' must be finite and positive")
+        if np.any(np.diff(times) <= 0):
             raise ValidationError("chain draw key 'times' must be strictly increasing")
-        return draw
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("chain draw key 'values' must be finite")
+        if not np.all((is_coal == 0) | (is_coal == 1)):
+            raise ValidationError("chain draw key 'is_coal' must hold only 0 and 1")
+        if not np.any(is_coal):
+            raise ValidationError("chain draw holds no coalescent point")
+        return cls(iteration, theta, lam, times, values, is_coal.astype(bool), log_posterior)
+
+
+_F8, _U1 = np.dtype("<f8"), np.dtype("u1")
+
+
+def _encode_array(a: np.ndarray, dtype: np.dtype) -> str:
+    return base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _decode_array(value, dtype: np.dtype, key: str) -> np.ndarray:
+    """A draw's field array from base64 of ``dtype`` bytes or from a list of
+    numbers (an is_coal list is read as 0/1 values)."""
+    if not isinstance(value, str):
+        return np.asarray(value, dtype=float)
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValidationError(f"chain draw key {key!r} is not base64: {exc}") from None
+    if len(raw) % dtype.itemsize:
+        raise ValidationError(
+            f"chain draw key {key!r} holds {len(raw)} bytes, not whole {dtype.itemsize}-byte items"
+        )
+    return np.frombuffer(raw, dtype=dtype)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files, determinism, exit codes."""
 
+import base64
 import json
 import os
 import subprocess
@@ -240,6 +241,58 @@ class TestSummarizeCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"line {n_lines} is not JSON" in err
+
+    @staticmethod
+    def rewrite_draws(chain, out, layout, fault=None):
+        """Copy ``chain`` to ``out`` with every draw's field arrays written as
+        base64 or as decimal lists, and ``fault`` = (key, index, value) set in
+        the first draw."""
+        lines = chain.read_text().splitlines()
+        for n in range(2, len(lines)):
+            obj = json.loads(lines[n])
+            arrays = {key: np.frombuffer(base64.b64decode(obj[key]), dtype=dtype).copy()
+                      for key, dtype in (("times", "<f8"), ("values", "<f8"), ("is_coal", "u1"))}
+            if fault is not None and n == 2:
+                key, index, value = fault
+                if index is None:
+                    obj[key] = value
+                else:
+                    arrays[key][index] = value
+            for key, arr in arrays.items():
+                obj[key] = base64.b64encode(arr.tobytes()).decode() if layout == "base64" else arr.tolist()
+            lines[n] = json.dumps(obj)
+        out.write_text("\n".join(lines) + "\n")
+        return out
+
+    def test_decimal_and_base64_layouts_summarize_identically(self, tmp_path):
+        chain = self.make_chain(tmp_path)
+        assert isinstance(json.loads(chain.read_text().splitlines()[2])["times"], str)
+        decimal = self.rewrite_draws(chain, tmp_path / "decimal.jsonl", "decimal")
+        assert isinstance(json.loads(decimal.read_text().splitlines()[2])["times"], list)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["summarize", "--chain", chain, "--grid", 40, "--seed", 5, "--out", a]) == 0
+        assert run(["summarize", "--chain", decimal, "--grid", 40, "--seed", 5, "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("layout", ["base64", "decimal"])
+    @pytest.mark.parametrize(
+        "fault",
+        [("times", 1, np.nan), ("times", -1, np.inf), ("times", 0, 0.0), ("times", 0, -0.2),
+         ("values", 0, np.nan), ("values", 1, -np.inf), ("is_coal", 0, 2),
+         ("theta", None, np.nan), ("theta", None, 0.0), ("lambda", None, np.nan),
+         ("lambda", None, np.inf), ("lambda", None, -1.0)],
+        ids=["times-nan", "times-inf", "times-zero", "times-negative", "values-nan", "values-inf",
+             "is-coal-2", "theta-nan", "theta-zero", "lambda-nan", "lambda-inf", "lambda-negative"],
+    )
+    def test_out_of_range_draw_exits_2(self, tmp_path, capsys, layout, fault):
+        chain = self.rewrite_draws(self.make_chain(tmp_path), tmp_path / "bad.jsonl", layout, fault)
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert run(["summarize", "--chain", chain, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert repr(fault[0]) in err
+        assert not out.exists()
 
     def test_summary_determinism(self, tmp_path):
         chain = self.make_chain(tmp_path)

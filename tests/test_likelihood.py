@@ -58,6 +58,12 @@ class TestSigmoidLink:
         assert np.allclose(scalar, expit(x), rtol=1e-12, atol=1e-300)
         assert sigmoid(800.0) == 1.0 and sigmoid(-800.0) == 0.0
 
+    def test_split_softplus_matches_logaddexp(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 20_001), [-745.2, -1e-300, -0.0, 1e-300, 36.7]])
+        ref = -np.logaddexp(0.0, -x)
+        assert np.allclose(log_sigmoid(x), ref, rtol=1e-15, atol=0.0)
+        assert [log_sigmoid(float(v)) for v in x[::997]] == pytest.approx(ref[::997], rel=1e-15, abs=0.0)
+
     def test_stable_for_extreme_f(self):
         assert np.isfinite(ne_from_f(-700.0, 1.0))
         assert ne_from_f(-50.0, 1.0) == pytest.approx(1.0 + math.exp(50.0))

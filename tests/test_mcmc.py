@@ -1,14 +1,18 @@
 """Transition kernels: closed-form acceptance ratios, conjugate checks,
 prior recovery, determinism, and a joint-distribution smoke test."""
 
+import base64
+import json
 import math
 
 import numpy as np
 import pytest
+from coalgp.errors import ValidationError
 from coalgp.genealogy import CoalescentData, build_interval_grid
 from coalgp.gp_prior import BrownianMotionKernel, LatentField, OrnsteinUhlenbeckKernel, build_precision
 from coalgp.likelihood import LambdaPrior
 from coalgp.mcmc import (
+    ChainDraw,
     ChainState,
     McmcConfig,
     elliptical_slice_step,
@@ -367,6 +371,72 @@ class TestRunChain:
         assert back.kernel == out.kernel
         assert back.draws[-1].theta == out.draws[-1].theta
         assert np.array_equal(back.draws[-1].values, out.draws[-1].values)
+
+
+def edge_draw():
+    return ChainDraw(
+        iteration=7,
+        theta=0.3,
+        lam=2.5,
+        times=np.array([5e-324, 0.25, 1.0, 1e308]),
+        values=np.array([-0.0, 5e-324, 1e308, -1e308]),
+        is_coal=np.array([False, True, False, True]),
+        log_posterior=-12.5,
+    )
+
+
+def decimal_record(draw):
+    """The draw's record in the decimal-list layout chain files had before."""
+    return {**draw.to_json(), "times": draw.times.tolist(), "values": draw.values.tolist(),
+            "is_coal": draw.is_coal.astype(int).tolist()}
+
+
+class TestChainDrawRecord:
+    def test_base64_round_trip_is_bit_exact(self):
+        draw = edge_draw()
+        obj = json.loads(json.dumps(draw.to_json()))
+        assert all(isinstance(obj[k], str) for k in ("times", "values", "is_coal"))
+        back = ChainDraw.from_json(obj)
+        for key in ("times", "values"):
+            assert getattr(back, key).tobytes() == getattr(draw, key).tobytes()
+        assert back.is_coal.dtype == bool and np.array_equal(back.is_coal, draw.is_coal)
+        assert (back.iteration, back.theta, back.lam, back.log_posterior) == (7, 0.3, 2.5, -12.5)
+
+    def test_documented_numpy_decode(self):
+        obj = edge_draw().to_json()
+        values = np.frombuffer(base64.b64decode(obj["values"]), dtype="<f8")
+        is_coal = np.frombuffer(base64.b64decode(obj["is_coal"]), dtype="u1").astype(bool)
+        assert values.tobytes() == edge_draw().values.tobytes()
+        assert np.array_equal(is_coal, edge_draw().is_coal)
+
+    def test_decimal_lists_still_read_bit_exact(self):
+        draw = edge_draw()
+        back = ChainDraw.from_json(json.loads(json.dumps(decimal_record(draw))))
+        for key in ("times", "values"):
+            assert getattr(back, key).tobytes() == getattr(draw, key).tobytes()
+        assert back.is_coal.dtype == bool and np.array_equal(back.is_coal, draw.is_coal)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("times", "AAAA!AAA"), ("times", "AAAAAAA"), ("values", "AAAA\u00e9AAA"),
+         ("values", base64.b64encode(b"\0" * 31).decode()),
+         ("times", base64.b64encode(b"\0" * 12).decode()), ("is_coal", base64.b64encode(b"\1\2\0\1").decode())],
+        ids=["bad-char", "bad-padding", "non-ascii", "values-31-bytes", "times-12-bytes", "is-coal-byte-2"],
+    )
+    def test_malformed_base64_raises(self, key, value):
+        obj = {**edge_draw().to_json(), key: value}
+        with pytest.raises(ValidationError, match=repr(key)):
+            ChainDraw.from_json(obj)
+
+    def test_draw_without_coalescent_point_raises(self):
+        obj = {**edge_draw().to_json(), "times": "", "values": "", "is_coal": ""}
+        with pytest.raises(ValidationError, match="no coalescent point"):
+            ChainDraw.from_json(obj)
+
+    def test_decimal_is_coal_outside_0_1_raises(self):
+        obj = {**decimal_record(edge_draw()), "is_coal": [0, 2, 0, 1]}
+        with pytest.raises(ValidationError, match="is_coal"):
+            ChainDraw.from_json(obj)
 
 
 class TestPosteriorSelfConsistency:
