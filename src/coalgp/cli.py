@@ -8,17 +8,18 @@ byte-identical outputs regardless of worker scheduling.  ``simulate
 call for a contiguous chunk of replicates.  Replicate r draws only from its
 own stream, so its file is the same for every batch size and worker count
 (apart from ``meta``).  Count flags (--replicates, --workers, --chains,
---proposal-cap) must be at least 1.  Exit codes: 0 on success, 2 for usage
-or input-validation problems (including unreadable or unwritable paths and
-out-of-range parameter values), 3 for runtime failures (proposal caps,
-sampler aborts); a sampler abort writes a state dump next to the requested
-output.
+--proposal-cap) must be at least 1, real-valued flags finite.  Exit codes: 0
+on success, 2 for usage or input-validation problems (including unreadable or
+unwritable paths and out-of-range parameter values), 3 for runtime failures
+(proposal caps, sampler aborts); a sampler abort writes a state dump next to
+the requested output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CoalgpError, McmcError, NewickError, SimulationError, ValidationError
+from .errors import CoalgpError, McmcError, NewickError, ValidationError
 from .genealogy import CoalescentData, extract_coalescent_data, parse_newick, read_tip_dates
 from .gp_prior import BrownianMotionKernel, OrnsteinUhlenbeckKernel, kernel_to_json
 from .mcmc import ChainOutput, McmcConfig, run_chain
@@ -252,7 +253,7 @@ def cmd_summarize(args) -> int:
     with open(args.chain) as fh:
         chain = ChainOutput.read_jsonl(fh)
     if not chain.draws:
-        raise SimulationError("chain holds no draws")
+        raise ValidationError("chain holds no draws")
     rng = _rng_for(args.seed, 0)
     if args.grid_max is not None:
         grid = np.linspace(0.0, args.grid_max, args.grid)
@@ -294,6 +295,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _real(text: str) -> float:
+    """Value of a real-valued flag: a finite number; range checks are the
+    command's."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coalgp",
@@ -308,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--schedule", help="heterochronous schedule, e.g. '0:50,0.5:25,1.0:25'")
     sim.add_argument("--traj", help="deterministic trajectory, e.g. constant:1 | expgrowth:25,5 | boombust")
     sim.add_argument("--kernel", choices=["bm", "ou"], help="GP kernel for a stochastic trajectory")
-    sim.add_argument("--theta", type=float, default=1.0, help="GP precision")
-    sim.add_argument("--init-var", type=float, default=100.0, help="BM free-initial-level variance scale")
-    sim.add_argument("--phi", type=float, default=1.0, help="OU mean-reversion rate")
-    sim.add_argument("--lambda", dest="lam", type=float, help="certified bound on 1/N_e")
-    sim.add_argument("--window", type=float, help="lookahead width for the local-bound envelope")
+    sim.add_argument("--theta", type=_real, default=1.0, help="GP precision")
+    sim.add_argument("--init-var", type=_real, default=100.0, help="BM free-initial-level variance scale")
+    sim.add_argument("--phi", type=_real, default=1.0, help="OU mean-reversion rate")
+    sim.add_argument("--lambda", dest="lam", type=_real, help="certified bound on 1/N_e")
+    sim.add_argument("--window", type=_real, help="lookahead width for the local-bound envelope")
     sim.add_argument("--record-latent", action="store_true", help="record thinned points (deterministic runs)")
     sim.add_argument("--proposal-cap", type=_count, default=10_000_000, help="proposals allowed per coalescent interval")
     sim.add_argument("--replicates", type=_count, default=1)
@@ -331,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--burnin", type=int, default=20_000)
     inf.add_argument("--thin", type=int, default=10)
     inf.add_argument("--kernel", choices=["bm", "ou"], default="bm")
-    inf.add_argument("--theta", type=float, default=1.0, help="initial GP precision (resampled)")
-    inf.add_argument("--init-var", type=float, default=100.0)
-    inf.add_argument("--phi", type=float, default=1.0)
-    inf.add_argument("--lambda-hat", type=float, default=10.0)
-    inf.add_argument("--eps", type=float, default=0.01)
-    inf.add_argument("--alpha", type=float, default=0.001)
-    inf.add_argument("--beta", type=float, default=0.001)
-    inf.add_argument("--halfwidth", type=float, help="lambda proposal half-width (default 0.1*lambda-hat)")
+    inf.add_argument("--theta", type=_real, default=1.0, help="initial GP precision (resampled)")
+    inf.add_argument("--init-var", type=_real, default=100.0)
+    inf.add_argument("--phi", type=_real, default=1.0)
+    inf.add_argument("--lambda-hat", type=_real, default=10.0)
+    inf.add_argument("--eps", type=_real, default=0.01)
+    inf.add_argument("--alpha", type=_real, default=0.001)
+    inf.add_argument("--beta", type=_real, default=0.001)
+    inf.add_argument("--halfwidth", type=_real, help="lambda proposal half-width (default 0.1*lambda-hat)")
     inf.add_argument("--rj-sweeps", type=int, default=1)
     inf.add_argument("--location-moves", type=int, default=1)
     inf.add_argument("--chains", type=_count, default=1)
@@ -359,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     summ = sub.add_parser("summarize", help="grid summaries and metrics from a chain")
     summ.add_argument("--chain", required=True)
     summ.add_argument("--grid", type=int, default=150, help="number of grid points on [0, root]")
-    summ.add_argument("--grid-max", type=float, help="override the grid's upper end")
+    summ.add_argument("--grid-max", type=_real, help="override the grid's upper end")
     summ.add_argument("--truth", help="trajectory spec to score against (writes metrics)")
     summ.add_argument("--metrics-out")
     summ.add_argument("--seed", type=int, default=0)

@@ -5,7 +5,9 @@ time to the most recent common ancestor.  A genealogy is reduced to its
 coalescent event times plus the sampling schedule; those in turn define the
 half-open inter-event intervals, each carrying the number of active lineages
 and the binomial coalescent factor, on which every likelihood and sampler in
-this package operates.
+this package operates.  The schedule rules live here alone: ``check_schedule``
+for the sampling schedule and one array lineage walk for the merged events,
+shared by ``CoalescentData``, ``build_interval_grid`` and the simulators.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _LABEL_STOP = set("(),:;[]")
 
 
-def coalescent_factor(k: int) -> int:
-    """Number of lineage pairs among k active lineages, binom(k, 2)."""
-    if k < 1:
-        raise ValueError(f"lineage count must be >= 1, got {k}")
+def coalescent_factor(k):
+    """Number of lineage pairs among k active lineages, binom(k, 2);
+    elementwise on an integer array."""
+    low = np.min(k)
+    if low < 1:
+        raise ValueError(f"lineage count must be >= 1, got {low}")
     return k * (k - 1) // 2
 
 
@@ -265,9 +269,10 @@ def read_tip_dates(text: str) -> dict[str, float]:
 class CoalescentData:
     """Coalescent event times plus the sampling schedule.
 
-    ``coal_times`` holds the n-1 strictly increasing positive event times
-    (the conventional t_n = 0 origin is implicit).  ``samp_times`` starts at
-    0; ``samp_counts`` are the sequences added at each sampling time.
+    ``coal_times`` holds the n-1 strictly increasing, positive, finite event
+    times (the conventional t_n = 0 origin is implicit).  ``samp_times`` and
+    ``samp_counts`` obey ``check_schedule``: finite times from 0, at least 2
+    samples.  Every coalescence must find at least 2 active lineages.
     """
 
     coal_times: np.ndarray
@@ -275,29 +280,21 @@ class CoalescentData:
     samp_counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coal_times", np.asarray(self.coal_times, dtype=float))
-        object.__setattr__(self, "samp_times", np.asarray(self.samp_times, dtype=float))
-        object.__setattr__(self, "samp_counts", np.asarray(self.samp_counts, dtype=int))
-        ct, st, sc = self.coal_times, self.samp_times, self.samp_counts
-        if ct.ndim != 1 or st.ndim != 1 or sc.shape != st.shape:
-            raise ValidationError("coal_times, samp_times, samp_counts have wrong shapes")
+        st, sc = check_schedule(self.samp_times, self.samp_counts)
+        ct = np.asarray(self.coal_times, dtype=float)
+        for name, value in (("coal_times", ct), ("samp_times", st), ("samp_counts", sc)):
+            object.__setattr__(self, name, value)
+        if ct.ndim != 1 or not np.all(np.isfinite(ct)):
+            raise ValidationError("coalescent times must be a 1-D list of finite numbers")
         if len(ct) and ct[0] <= 0:
             raise ValidationError("coalescent times must be strictly positive")
         if np.any(np.diff(ct) <= 0):
             raise ValidationError("coalescent times must be strictly increasing (no ties)")
-        if len(st) == 0 or st[0] != 0.0:
-            raise ValidationError("sampling times must start at 0")
-        if np.any(np.diff(st) <= 0):
-            raise ValidationError("sampling times must be strictly increasing")
-        if np.any(sc < 1):
-            raise ValidationError("sample counts must be positive")
         if sc.sum() != len(ct) + 1:
             raise ValidationError(
                 f"expected {sc.sum() - 1} coalescent events for {sc.sum()} samples, got {len(ct)}"
             )
-        if len(ct) and len(st) > 1 and ct[-1] <= st[-1]:
-            raise ValidationError("the root must predate the oldest sampling time")
-        _lineage_walk(ct, st, sc)  # raises if the lineage count ever drops below 2 at an event
+        _lineage_walk(ct, st, sc)
 
     @classmethod
     def isochronous(cls, coal_times) -> "CoalescentData":
@@ -351,29 +348,40 @@ def _json_numbers(obj: dict, key: str, kind: type) -> np.ndarray:
     return np.asarray(vals, dtype=kind)
 
 
+def check_schedule(samp_times, samp_counts) -> tuple[np.ndarray, np.ndarray]:
+    """The sampling schedule as (float times, integer counts).
+
+    The times must be finite, start at 0 and increase strictly; the counts
+    must be integers, each at least 1, totalling at least 2.
+    """
+    st = np.asarray(samp_times, dtype=float)
+    sc = np.asarray(samp_counts)
+    if st.ndim != 1 or sc.shape != st.shape:
+        raise ValidationError("samp_times and samp_counts must be 1-D lists of equal length")
+    if not len(st) or st[0] != 0.0 or not np.all(np.isfinite(st)) or np.any(np.diff(st) <= 0):
+        raise ValidationError("sampling times must be finite, start at 0 and increase strictly")
+    if sc.dtype.kind not in "iu" or np.any(sc < 1) or sc.sum() < 2:
+        raise ValidationError("sample counts must be integers >= 1 totalling at least 2")
+    return st, sc.astype(int, copy=False)
+
+
 def _lineage_walk(coal_times, samp_times, samp_counts):
-    """Merged event walk; returns (times, is_coal, samp_add) per event, validated."""
-    events: dict[float, list] = {}
-    for t in coal_times:
-        ev = events.setdefault(float(t), [0, 0])
-        ev[0] += 1
-    for t, c in zip(samp_times, samp_counts):
-        ev = events.setdefault(float(t), [0, 0])
-        ev[1] += int(c)
-    times = sorted(events)
-    active = 0
-    for t in times:
-        n_coal, add = events[t]
-        if n_coal > 1:
-            raise ValidationError("tied coalescent times are not supported")
-        if n_coal and active < 2:
-            raise ValidationError(
-                f"coalescent event at t={t} with fewer than 2 active lineages"
-            )
-        active += add - n_coal
-    if active != 1:
-        raise ValidationError("lineage count does not end at 1 past the root")
-    return times, events
+    """The merged event times, which of them are coalescences, and the active
+    lineages just after each.  A coalescence at a sampling time sees the
+    lineages present before that time's samples arrive; ValidationError if
+    any coalescence finds fewer than 2."""
+    times = np.sort(np.concatenate((coal_times, samp_times)))
+    times = times[np.append(True, times[1:] > times[:-1])]  # np.union1d would load numpy.ma
+    is_coal = np.zeros(len(times), dtype=bool)
+    is_coal[np.searchsorted(times, coal_times)] = True
+    add = np.zeros(len(times), dtype=int)
+    add[np.searchsorted(times, samp_times)] = samp_counts
+    after = np.cumsum(add - is_coal)
+    starved = is_coal & (after + is_coal - add < 2)
+    if starved.any():
+        t = times[np.argmax(starved)]
+        raise ValidationError(f"coalescent event at t={t} with fewer than 2 active lineages")
+    return times, is_coal, after
 
 
 @dataclass(frozen=True)
@@ -416,10 +424,7 @@ class IntervalGrid:
 
     def interval_of(self, t: float) -> int:
         """Index of the interval containing t, with (start, end] convention."""
-        j = int(np.searchsorted(self.ends, t, side="left"))
-        if j >= self.n_intervals or not (self.starts[j] < t <= self.ends[j]):
-            raise ValidationError(f"time {t} lies outside the genealogy's span")
-        return j
+        return int(self.interval_of_many(np.array([t], dtype=float))[0])
 
     def interval_of_many(self, t: np.ndarray) -> np.ndarray:
         j = np.searchsorted(self.ends, t, side="left")
@@ -469,28 +474,13 @@ def extract_coalescent_data(g: Genealogy, height_atol: float = 1e-9) -> Coalesce
 
 def build_interval_grid(d: CoalescentData) -> IntervalGrid:
     """Enumerate all inter-event intervals with lineage counts and factors."""
-    times, events = _lineage_walk(d.coal_times, d.samp_times, d.samp_counts)
-    starts, ends, counts, factors, eidx, endcoal = [], [], [], [], [], []
-    active = 0
-    coal_seen = 0
-    prev = None
-    for t in times:
-        n_coal, add = events[t]
-        if prev is not None:
-            starts.append(prev)
-            ends.append(t)
-            counts.append(active)
-            factors.append(coalescent_factor(active) if active >= 1 else 0)
-            eidx.append(coal_seen)
-            endcoal.append(bool(n_coal))
-        active += add - n_coal
-        coal_seen += n_coal
-        prev = t
+    times, is_coal, after = _lineage_walk(d.coal_times, d.samp_times, d.samp_counts)
+    active = after[:-1]
     return IntervalGrid(
-        starts=np.array(starts, dtype=float),
-        ends=np.array(ends, dtype=float),
-        n_lineages=np.array(counts, dtype=int),
-        coal_factor=np.array(factors, dtype=float),
-        event_index=np.array(eidx, dtype=int),
-        ends_with_coal=np.array(endcoal, dtype=bool),
+        starts=times[:-1],
+        ends=times[1:],
+        n_lineages=active,
+        coal_factor=coalescent_factor(active).astype(float),
+        event_index=np.cumsum(is_coal)[:-1],
+        ends_with_coal=is_coal[1:],
     )

@@ -27,13 +27,13 @@ per Generator).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EvaluationError, SimulationError, ValidationError, require_keys
+from .genealogy import check_schedule, coalescent_factor
 from .gp_prior import GPKernel, LatentField
 from .likelihood import sigmoid
 from .trajectories import Trajectory
@@ -126,20 +126,6 @@ class SimulationRecord:
         except (TypeError, ValueError, EvaluationError) as exc:
             raise ValidationError(f"simulation record holds a malformed value: {exc}") from None
 
-    def dump(self, path):
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json()) + "\n")
-
-
-def _check_schedule(samp_times, samp_counts):
-    st = np.asarray(samp_times, dtype=float)
-    sc = np.asarray(samp_counts, dtype=int)
-    if len(st) == 0 or st[0] != 0.0 or np.any(np.diff(st) <= 0):
-        raise ValidationError("sampling times must be strictly increasing and start at 0")
-    if np.any(sc < 1) or sc.sum() < 2:
-        raise ValidationError("sample counts must be positive and total at least 2")
-    return st, sc
-
 
 def _generators(rng) -> tuple[list, bool]:
     """The batch's Generators, and whether the caller passed a list of them."""
@@ -158,7 +144,7 @@ class _Walk:
     """
 
     def __init__(self, samp_times, samp_counts, reps: int):
-        self.st, self.sc = _check_schedule(samp_times, samp_counts)
+        self.st, self.sc = check_schedule(samp_times, samp_counts)
         self.next_time = np.append(self.st[1:], math.inf)
         self.n_events = int(self.sc.sum()) - 1
         self.ids = np.arange(reps)
@@ -187,7 +173,7 @@ class _Walk:
         while low.any():
             self.advance(low)
             low = self.active < 2
-        return self.active * (self.active - 1) / 2.0
+        return coalescent_factor(self.active)
 
     def coalesce(self, mask):
         self.active -= mask

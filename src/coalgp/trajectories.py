@@ -270,6 +270,8 @@ def parse_trajectory(spec: str) -> Trajectory:
     name, _, argstr = spec.partition(":")
     name = name.strip().lower()
     args = [float(x) for x in argstr.split(",")] if argstr.strip() else []
+    if not all(math.isfinite(a) for a in args):
+        raise ValueError(f"trajectory parameters must be finite, got {argstr!r}")
     if name == "constant":
         if len(args) != 1:
             raise ValueError("constant takes exactly one parameter: constant:<size>")

@@ -294,6 +294,14 @@ class TestSummarizeCommand:
         assert repr(fault[0]) in err
         assert not out.exists()
 
+    def test_chain_without_draws_exits_2(self, tmp_path, capsys):
+        chain = self.make_chain(tmp_path)
+        chain.write_text("\n".join(chain.read_text().splitlines()[:2]) + "\n")  # meta, header
+        capsys.readouterr()
+        assert run(["summarize", "--chain", chain, "--out", tmp_path / "s.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no draws" in err and "Traceback" not in err
+
     def test_summary_determinism(self, tmp_path):
         chain = self.make_chain(tmp_path)
         a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -462,6 +470,91 @@ def test_bad_parameter_values_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.nwk"]
+
+
+def _exit_code(argv) -> int:
+    """Exit code of one in-process call; the parser's own rejections exit
+    through SystemExit."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SIM_GP = ["simulate", "--iso", "-n", 5, "--kernel", "ou", "--lambda", 2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--iso", "-n", 5, "--traj", "constant:nan"],
+        ["simulate", "--iso", "-n", 5, "--traj", "constant:inf", "--lambda", 1],
+        ["simulate", "--iso", "-n", 5, "--traj", "expgrowth:nan,5"],
+        ["simulate", "--iso", "-n", 5, "--traj", "boombust:nan,0.5,2"],
+        ["simulate", "--iso", "-n", 5, "--traj", "constant:1", "--lambda", "nan"],
+        ["simulate", "--iso", "-n", 5, "--traj", "expgrowth:25,5", "--window", "nan"],
+        SIM_GP + ["--phi", "nan"],
+        SIM_GP + ["--theta", "nan"],
+        ["simulate", "--iso", "-n", 5, "--kernel", "bm", "--lambda", 2, "--init-var", "nan"],
+        SIM_GP + ["--theta", "inf"],
+        ["infer", "--tree", "t.nwk", "--lambda-hat", "nan"],
+        ["infer", "--tree", "t.nwk", "--lambda-hat", "inf"],
+        ["infer", "--tree", "t.nwk", "--alpha", "nan"],
+        ["infer", "--tree", "t.nwk", "--beta=-inf"],
+        ["infer", "--tree", "t.nwk", "--theta", "nan"],
+        ["infer", "--tree", "t.nwk", "--kernel", "ou", "--phi", "nan"],
+        ["infer", "--tree", "t.nwk", "--init-var", "nan"],
+        ["infer", "--tree", "t.nwk", "--eps", "nan"],
+        ["infer", "--tree", "t.nwk", "--halfwidth", "inf"],
+        ["summarize", "--chain", "c.jsonl", "--grid-max", "nan"],
+    ],
+)
+def test_non_finite_values_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # rejected before any work: the simulators never start on a nan bound
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.nwk").write_text(TREE)
+    assert _exit_code(argv + ["--out", "x.json"]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.nwk"]
+
+
+BAD_SCHEDULES = ["0:1", "0:5,inf:3", "0:5,nan:3", "0.1:5,0.5:3", "0:5,0:3", "0:0,1:3"]
+
+
+@pytest.mark.parametrize("schedule", BAD_SCHEDULES)
+def test_bad_schedule_exits_2_in_simulate_and_infer(tmp_path, capsys, schedule):
+    from coalgp.cli import _parse_schedule
+
+    out = tmp_path / "x.json"
+    argv = ["simulate", "--schedule", schedule, "--traj", "constant:1", "--lambda", 1, "--out", out]
+    assert run(argv) == 2
+    samp_times, samp_counts = _parse_schedule(schedule)
+    coal = list(range(2, 1 + sum(samp_counts)))  # n - 1 times past every sample
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"coal_times": coal, "samp_times": samp_times, "samp_counts": samp_counts}))
+    assert run(["infer", "--data", data, "--iters", 20, "--burnin", 5, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"coal_times": [0.4, float("inf")], "samp_times": [0.0], "samp_counts": [3]},
+        {"coal_times": [0.4, float("nan")], "samp_times": [0.0], "samp_counts": [3]},
+        {"coal_times": [], "samp_times": [0.0], "samp_counts": [1]},
+    ],
+    ids=["infinite-root", "nan-root", "one-sample"],
+)
+def test_bad_data_exits_2_before_the_chain(tmp_path, capsys, obj):
+    data, out = tmp_path / "d.json", tmp_path / "c.jsonl"
+    data.write_text(json.dumps(obj))
+    assert run(["infer", "--data", data, "--iters", 20, "--burnin", 5, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
 
 
 def test_infer_theta_sets_the_starting_precision(tmp_path):

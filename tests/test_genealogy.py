@@ -252,3 +252,83 @@ class TestIntervalGrid:
             grid.interval_of(1.5)
         with pytest.raises(ValidationError):
             grid.interval_of(0.0)
+
+
+BAD_SCHEDULES = {
+    "one-sample": ([0.0], [1]),
+    "infinite-time": ([0.0, np.inf], [5, 3]),
+    "nan-time": ([0.0, np.nan], [5, 3]),
+    "late-start": ([0.1, 0.5], [5, 3]),
+    "repeated-time": ([0.0, 0.0], [5, 3]),
+    "zero-count": ([0.0, 1.0], [0, 3]),
+    "fractional-count": ([0.0, 1.0], [2.5, 3.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCHEDULES))
+def test_one_schedule_check_for_data_and_simulators(name):
+    from coalgp.simulate import simulate_time_transform
+    from coalgp.trajectories import ConstantTrajectory
+
+    samp_times, samp_counts = BAD_SCHEDULES[name]
+    coal = np.arange(2.0, 1.0 + np.sum(samp_counts))  # past every sample
+    with pytest.raises(ValidationError):
+        CoalescentData(coal, samp_times, samp_counts)
+    with pytest.raises(ValidationError):
+        simulate_time_transform(
+            ConstantTrajectory(1.0), np.random.default_rng(0),
+            samp_times=samp_times, samp_counts=samp_counts,
+        )
+
+
+def test_coal_times_must_be_finite():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            CoalescentData([0.4, bad], [0.0], [3])
+
+
+def test_coalescent_factor_elementwise():
+    k = np.arange(1, 200)
+    assert np.array_equal(coalescent_factor(k), [coalescent_factor(int(x)) for x in k])
+    with pytest.raises(ValueError):
+        coalescent_factor(np.array([3, 0, 2]))
+
+
+def _reference_grid(d):
+    """The interval grid by an explicit event loop, kept as the oracle for
+    the array walk in ``build_interval_grid``."""
+    events = {}
+    for t in d.coal_times:
+        events.setdefault(float(t), [0, 0])[0] += 1
+    for t, c in zip(d.samp_times, d.samp_counts):
+        events.setdefault(float(t), [0, 0])[1] += int(c)
+    rows, active, coal_seen, prev = [], 0, 0, None
+    for t in sorted(events):
+        n_coal, add = events[t]
+        if prev is not None:
+            rows.append((prev, t, active, active * (active - 1) // 2, coal_seen, bool(n_coal)))
+        active += add - n_coal
+        coal_seen += n_coal
+        prev = t
+    dtypes = (float, float, int, float, int, bool)
+    return [np.array(col, dtype=dt) for col, dt in zip(zip(*rows), dtypes)]
+
+
+def test_array_walk_matches_event_loop(rng):
+    fields = ("starts", "ends", "n_lineages", "coal_factor", "event_index", "ends_with_coal")
+    at_sampling = 0
+    for _ in range(300):
+        d = random_hetero_data(rng, max_batches=8)
+        if len(d.samp_times) > 1 and rng.random() < 0.5:  # move one coalescence onto a sampling time
+            coal = np.sort(np.append(np.delete(d.coal_times, rng.integers(len(d.coal_times))),
+                                     rng.choice(d.samp_times[1:])))
+            try:
+                d = CoalescentData(coal, d.samp_times, d.samp_counts)
+                at_sampling += 1
+            except ValidationError:
+                pass
+        grid = build_interval_grid(d)
+        for name, expected in zip(fields, _reference_grid(d)):
+            got = getattr(grid, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    assert at_sampling > 20
