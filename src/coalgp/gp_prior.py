@@ -48,6 +48,10 @@ class TridiagPrecision:
     def size(self) -> int:
         return len(self.var)
 
+    def scaled(self, theta: float) -> "TridiagPrecision":
+        """theta times this precision: only the innovation variances change."""
+        return TridiagPrecision(self.rho, self.var / theta)
+
     def _cholesky(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and subdiagonal of the lower bidiagonal factor R."""
         inv_sd = 1.0 / np.sqrt(self.var)
@@ -77,6 +81,10 @@ class TridiagPrecision:
     def quad_form(self, f: np.ndarray) -> float:
         e = self._innovations(f)
         return float(np.dot(e, e / self.var))
+
+    def log_density(self, f: np.ndarray) -> float:
+        """Log density of N(0, Q^{-1}) at f."""
+        return 0.5 * (self.log_det() - self.size * LOG_2PI - self.quad_form(f))
 
     def matvec(self, f: np.ndarray) -> np.ndarray:
         y = self._innovations(f) / self.var
@@ -118,6 +126,9 @@ class TridiagPrecision:
 class _MarkovKernel:
     """Everything a kernel needs beyond its increment law ``innovation``."""
 
+    def with_theta(self, theta: float):
+        return replace(self, theta=theta)
+
     def cond_moments_many(self, t, left_t, left_f, right_t, right_f):
         """Mean and variance of f(t) given its bracketing known values.
 
@@ -155,9 +166,6 @@ class BrownianMotionKernel(_MarkovKernel):
         if self.init_var < 0:
             raise ValidationError("init_var must be non-negative")
 
-    def with_theta(self, theta: float) -> "BrownianMotionKernel":
-        return replace(self, theta=theta)
-
     def innovation(self, t0, t1):
         """Theta-free increment law from t0 to t1: rho = 1, v = u1 - u0 in
         shifted time u = t + init_var.  t0 = -inf is the pinned start of the
@@ -189,9 +197,6 @@ class OrnsteinUhlenbeckKernel(_MarkovKernel):
     def __post_init__(self):
         if self.theta <= 0 or self.phi <= 0:
             raise ValidationError("theta and phi must be positive")
-
-    def with_theta(self, theta: float) -> "OrnsteinUhlenbeckKernel":
-        return replace(self, theta=theta)
 
     def innovation(self, t0, t1):
         """Theta-free increment law from t0 to t1: rho = exp(-phi*gap),
@@ -230,18 +235,14 @@ def kernel_from_json(obj: dict) -> GPKernel:
 
 def build_precision(times: np.ndarray, kernel: GPKernel) -> TridiagPrecision:
     """Precision matrix of the kernel's finite-dimensional law at ``times``."""
-    q = kernel.structure_tridiag(times)
-    return TridiagPrecision(q.rho, q.var / kernel.theta)
+    return kernel.structure_tridiag(times).scaled(kernel.theta)
 
 
 def log_prior_density(times: np.ndarray, values: np.ndarray, kernel: GPKernel) -> float:
     """Log density of the zero-mean Gaussian with the kernel's covariance."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if len(times) == 0:
         return 0.0
-    q = build_precision(times, kernel)
-    return 0.5 * (q.log_det() - len(times) * LOG_2PI - q.quad_form(values))
+    return build_precision(times, kernel).log_density(values)
 
 
 class LatentField:

@@ -18,9 +18,13 @@ operations and one splice of the field.  The number of passes is the most
 intervals any block holds: 1 for isochronous data.
 
 The chain state is the field, theta and lambda alone.  How many latent points
-each interval holds, and where they sit in the field, is read off the field
-by :meth:`IntervalGrid.latent_slices` whenever a kernel or the likelihood
-needs it, so no count is kept in step by hand.
+each interval holds, and where they sit in the field, is read off the field by
+:meth:`IntervalGrid.latent_slices` whenever a kernel or the likelihood needs
+it, so no count is kept in step by hand.  The field's times stay fixed after
+relocation, so each sweep builds one theta-free prior precision (the GP's
+innovations) at them.  The slice step's prior draw, theta's Gamma rate and the
+log posterior's prior density all read it; theta is applied as the scalar that
+divides the innovation variances.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ from .genealogy import CoalescentData, IntervalGrid, build_interval_grid
 from .gp_prior import (
     GPKernel,
     LatentField,
-    build_precision,
+    TridiagPrecision,
+    build_precision,  # noqa: F401 - unused here; perfbench's tracer wraps this binding
     conditional_draw_at,
     kernel_from_json,
     kernel_to_json,
-    log_prior_density,
     predictive_grid_draw,
     run_rank,
 )
@@ -405,8 +409,7 @@ def elliptical_slice_step(f, nu, loglik, rng: np.random.Generator):
 
 def ess_update(
     state: ChainState,
-    grid: IntervalGrid,
-    kernel: GPKernel,
+    prior: TridiagPrecision,
     rng: np.random.Generator,
     counters: dict | None = None,
     likelihood_off: bool = False,
@@ -415,9 +418,7 @@ def ess_update(
     field = state.field
     if field.size == 0:
         return state
-    kern = kernel.with_theta(state.theta)
-    prec = build_precision(field.times, kern)
-    nu = prec.sample_zero_mean(rng)
+    nu = prior.scaled(state.theta).sample_zero_mean(rng)
 
     if likelihood_off:
         loglik = lambda v: 0.0  # noqa: E731 - prior-only diagnostics
@@ -432,23 +433,20 @@ def ess_update(
     return state
 
 
-def theta_full_conditional(field: LatentField, kernel: GPKernel, alpha: float, beta: float):
+def theta_full_conditional(field: LatentField, prior: TridiagPrecision, alpha: float, beta: float):
     """Shape and rate of the Gamma full conditional of the GP precision."""
-    quad = 0.0
-    if field.size:
-        quad = kernel.structure_tridiag(field.times).quad_form(field.values)
-    return alpha + 0.5 * field.size, beta + 0.5 * quad
+    return alpha + 0.5 * field.size, beta + 0.5 * prior.quad_form(field.values)
 
 
 def gibbs_theta(
     state: ChainState,
-    kernel: GPKernel,
+    prior: TridiagPrecision,
     alpha: float,
     beta: float,
     rng: np.random.Generator,
 ) -> ChainState:
     """Exact Gamma draw of the precision given f (conjugate full conditional)."""
-    shape, rate = theta_full_conditional(state.field, kernel, alpha, beta)
+    shape, rate = theta_full_conditional(state.field, prior, alpha, beta)
     if not math.isfinite(rate) or rate <= 0:
         raise McmcError(f"theta full conditional has rate {rate}", _state_dump(state))
     theta = rng.gamma(shape, 1.0 / rate)
@@ -511,20 +509,22 @@ def mcmc_sweep(
     rng: np.random.Generator,
     counters: dict | None = None,
     likelihood_off: bool = False,
-) -> ChainState:
-    """One full iteration: RJ sweep(s), relocations, slice, theta, lambda."""
+) -> TridiagPrecision:
+    """One full iteration: RJ sweep(s), relocations, slice, theta, lambda.
+    Returns the theta-free prior the sweep built, for the log posterior."""
     if not likelihood_off:
         for _ in range(cfg.rj_sweeps):
             rj_update(state, grid, kernel, rng, counters)
         for _ in range(cfg.location_moves):
             location_update(state, grid, kernel, rng, counters)
-    ess_update(state, grid, kernel, rng, counters, likelihood_off=likelihood_off)
-    gibbs_theta(state, kernel, cfg.theta_alpha, cfg.theta_beta, rng)
+    prior = kernel.structure_tridiag(state.field.times)
+    ess_update(state, prior, rng, counters, likelihood_off=likelihood_off)
+    gibbs_theta(state, prior, cfg.theta_alpha, cfg.theta_beta, rng)
     mh_lambda(
         state, cfg.lambda_prior, cfg.halfwidth, grid, rng, counters,
         likelihood_off=likelihood_off,
     )
-    return state
+    return prior
 
 
 def gamma_log_pdf(x: float, alpha: float, beta: float) -> float:
@@ -534,11 +534,10 @@ def gamma_log_pdf(x: float, alpha: float, beta: float) -> float:
 
 
 def log_augmented_posterior(
-    state: ChainState, grid: IntervalGrid, kernel: GPKernel, cfg: McmcConfig,
+    state: ChainState, grid: IntervalGrid, prior: TridiagPrecision, cfg: McmcConfig,
     likelihood_off: bool = False,
 ) -> float:
-    kern = kernel.with_theta(state.theta)
-    lp = log_prior_density(state.field.times, state.field.values, kern)
+    lp = prior.scaled(state.theta).log_density(state.field.values)
     lp += gamma_log_pdf(state.theta, cfg.theta_alpha, cfg.theta_beta)
     lp += lambda_log_prior(state.lam, cfg.lambda_prior)
     if not likelihood_off:
@@ -584,8 +583,8 @@ def run_chain(
     draws: list[ChainDraw] = []
     report_every = max(1, cfg.iterations // 20)
     for it in range(cfg.iterations):
-        mcmc_sweep(state, grid, kernel, cfg, rng, counters, likelihood_off=likelihood_off)
-        lp = log_augmented_posterior(state, grid, kernel, cfg, likelihood_off=likelihood_off)
+        prior = mcmc_sweep(state, grid, kernel, cfg, rng, counters, likelihood_off=likelihood_off)
+        lp = log_augmented_posterior(state, grid, prior, cfg, likelihood_off=likelihood_off)
         if not math.isfinite(lp):
             dump = _state_dump(state)
             dump["iteration"] = it

@@ -3,8 +3,9 @@
 For every retained draw the f-values are extended to the requested grid from
 the GP predictive (with that draw's theta), pushed through the sigmoidal link
 with that draw's lambda, and reduced to pointwise median and central 95%
-interval.  Quantiles use linear interpolation of order statistics (numpy's
-default, the type-7 convention).
+interval.  Quantiles use linear interpolation of order statistics (the
+type-7 convention), computed as ``np.quantile``'s default computes them but
+from a plain sort: ``np.quantile`` imports ``numpy.ma`` on first use.
 """
 
 from __future__ import annotations
@@ -100,11 +101,25 @@ def summarize(chain: ChainOutput, grid, rng: np.random.Generator) -> PosteriorSu
     # deep-negative f draws overflow N_e past float range; cap them so the
     # quantile interpolation stays finite and monotone
     np.minimum(ne, np.finfo(float).max, out=ne)
-    lo, md, hi = np.quantile(ne, [0.025, 0.5, 0.975], axis=0)
+    lo, md, hi = _type7_quantiles(ne, np.array([0.025, 0.5, 0.975]))
     return PosteriorSummary(
         grid=grid, median=md, lo95=lo, hi95=hi, n_draws=len(chain.draws),
         extrapolated=extrapolated,
     )
+
+
+def _type7_quantiles(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Quantiles ``q`` of each column of ``x``, bit for bit as
+    ``np.quantile(x, q, axis=0)``: between order statistics a and b at
+    fraction g, numpy's lerp is a + (b - a) g, or b - (b - a)(1 - g) for
+    g >= 0.5."""
+    s = np.sort(x, axis=0)
+    pos = (len(s) - 1) * q
+    lo = np.floor(pos).astype(np.intp)
+    a, b = s[lo], s[np.minimum(lo + 1, len(s) - 1)]
+    g = (pos - lo)[:, None]
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
 
 
 def _check_lengths(*arrays):

@@ -617,7 +617,7 @@ def test_outdir_env_override(tmp_path, monkeypatch):
 
 
 def test_commands_import_no_scipy(tmp_path):
-    # infer, summarize and simulate with KS run on numpy alone
+    # infer, summarize and simulate with KS run on numpy alone, without numpy.ma
     script = textwrap.dedent(
         """
         import json, sys
@@ -634,7 +634,7 @@ def test_commands_import_no_scipy(tmp_path):
         call("summarize", "--chain", chain, "--out", sys.argv[1] + "/s.csv")
         call("simulate", "--iso", "-n", 10, "--traj", "constant:1", "--lambda", 1,
              "--replicates", 50, "--out", sys.argv[1] + "/r.json")
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
         """
     )
     src = Path(__file__).resolve().parents[1] / "src"

@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 from coalgp.errors import ValidationError
 from coalgp.genealogy import CoalescentData, build_interval_grid
-from coalgp.gp_prior import BrownianMotionKernel, LatentField, OrnsteinUhlenbeckKernel, build_precision
-from coalgp.likelihood import LambdaPrior
+from coalgp.gp_prior import (
+    BrownianMotionKernel,
+    LatentField,
+    OrnsteinUhlenbeckKernel,
+    build_precision,
+    log_prior_density,
+)
+from coalgp.likelihood import LambdaPrior, lambda_log_prior, log_augmented_likelihood
 from coalgp.mcmc import (
     ChainDraw,
     ChainState,
@@ -32,6 +38,9 @@ from coalgp.simulate import simulate_time_transform
 from coalgp.trajectories import ConstantTrajectory
 import geweke
 from conftest import random_hetero_data
+
+
+KERNELS = [BrownianMotionKernel(init_var=1.0), OrnsteinUhlenbeckKernel(phi=0.8)]
 
 
 def small_data():
@@ -214,14 +223,14 @@ class TestGibbsTheta:
         extra = LatentField(
             np.append(state.field.times, 2.0), np.zeros(4), np.append(state.field.is_coal, False)
         )
-        shape, rate = theta_full_conditional(extra, BrownianMotionKernel(), 0.001, 0.001)
+        shape, rate = theta_full_conditional(extra, BrownianMotionKernel().structure_tridiag(extra.times), 0.001, 0.001)
         assert shape == pytest.approx(2.001)
         assert rate == pytest.approx(0.001)
 
     def test_single_point_quadratic_form(self):
         field = LatentField([1.0], [2.0], [True])
         kernel = BrownianMotionKernel(theta=1.0, init_var=0.0)  # structure matrix [1]
-        shape, rate = theta_full_conditional(field, kernel, 0.5, 0.25)
+        shape, rate = theta_full_conditional(field, kernel.structure_tridiag(field.times), 0.5, 0.25)
         assert shape == pytest.approx(1.0)
         assert rate == pytest.approx(0.25 + 2.0)
 
@@ -230,7 +239,7 @@ class TestGibbsTheta:
         cfg = McmcConfig(iterations=10, burn_in=0)
         kernel = BrownianMotionKernel(init_var=1.0)
         state = ChainState.initial(grid, kernel, cfg)
-        gibbs_theta(state, kernel, 2.0, 2.0, rng)
+        gibbs_theta(state, kernel.structure_tridiag(state.field.times), 2.0, 2.0, rng)
         assert state.theta > 0
 
 
@@ -355,6 +364,30 @@ class TestRunChain:
             for da, db in zip(a.draws, b.draws):
                 assert da.theta == db.theta and da.lam == db.lam
                 assert np.array_equal(da.values, db.values)
+
+    @pytest.mark.parametrize("data", [small_data(), serial_data()], ids=["iso", "serial"])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["bm", "ou"])
+    def test_one_prior_build_per_iteration(self, monkeypatch, data, kernel):
+        # the field's times are fixed after relocation, so one theta-free
+        # prior serves the slice step, the theta draw and the log posterior
+        calls = []
+        build = type(kernel).structure_tridiag
+        monkeypatch.setattr(type(kernel), "structure_tridiag", lambda k, t: calls.append(1) or build(k, t))
+        run_chain(data, McmcConfig(iterations=60, burn_in=10, seed=3, lambda_hat=3.0), kernel)
+        assert len(calls) == 60
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["bm", "ou"])
+    def test_draw_log_posterior_is_sum_of_terms(self, kernel):
+        data = serial_data()
+        cfg = McmcConfig(iterations=200, burn_in=20, thin=3, seed=4, lambda_hat=3.0)
+        grid = build_interval_grid(data)
+        for d in run_chain(data, cfg, kernel).draws:
+            assert d.log_posterior == (
+                log_prior_density(d.times, d.values, kernel.with_theta(d.theta))
+                + gamma_log_pdf(d.theta, cfg.theta_alpha, cfg.theta_beta)
+                + lambda_log_prior(d.lam, cfg.lambda_prior)
+                + log_augmented_likelihood(d.to_field(), grid, d.lam)
+            )
 
     def test_jsonl_round_trip(self, tmp_path):
         data = small_data()

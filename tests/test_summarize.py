@@ -11,6 +11,7 @@ from coalgp.gp_prior import BrownianMotionKernel
 from coalgp.likelihood import ne_from_f
 from coalgp.mcmc import ChainDraw, ChainOutput, McmcConfig, run_chain
 from coalgp.summarize import (
+    _type7_quantiles,
     default_grid,
     envelope,
     metric_report,
@@ -113,6 +114,17 @@ class TestSummarize:
         out = summarize(chain, np.array([0.5, 1.0]), rng)
         nes = np.array([ne_from_f(np.array([0.3 * i, -0.2]), 1.5) for i in range(6)])
         assert np.allclose(out.median, np.quantile(nes, 0.5, axis=0))
+
+    def test_bands_match_numpy_quantile_bitwise(self, rng):
+        # the sort-based bands are np.quantile's default, last bits included
+        big, q = np.finfo(float).max, np.array([0.025, 0.5, 0.975])
+        for n in (1, 2, 3, 39, 40, 41, 1000):
+            for x in (
+                rng.exponential(size=(n, 4)),
+                rng.integers(0, 3, size=(n, 4)).astype(float),  # ties
+                rng.choice([big, 1.0, 1e300, 1e-300], size=(n, 4)),
+            ):
+                assert _type7_quantiles(x, q).tobytes() == np.quantile(x, q, axis=0).tobytes()
 
     def test_constant_truth_chain(self, rng):
         # every draw has f = 0 and lam = 2: N_e is exactly 1 with no spread
