@@ -41,8 +41,6 @@ from .simulate import (
     SimulationRecord,
     simulate_hetero_thinning,
     simulate_hetero_thinning_gp,
-    simulate_iso_thinning,
-    simulate_iso_thinning_gp,
     simulate_time_transform,
 )
 from .summarize import MetricReport, PosteriorSummary, envelope, metric_report, mrw, sre, summarize, variation

@@ -11,8 +11,8 @@ own stream, so its file is the same for every batch size and worker count
 --proposal-cap) must be at least 1, real-valued flags finite.  Exit codes: 0
 on success, 2 for usage or input-validation problems (including unreadable or
 unwritable paths and out-of-range parameter values), 3 for runtime failures
-(proposal caps, sampler aborts); a sampler abort writes a state dump next to
-the requested output.
+(proposal caps, sampler aborts), 130 when interrupted (Ctrl-C); a sampler
+abort writes a state dump next to the requested output.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .trajectories import parse_trajectory
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 3
+INTERRUPT_EXIT = 130
 OUTDIR_ENV = "COALGP_OUTDIR"
 
 
@@ -111,8 +112,6 @@ def cmd_simulate(args) -> int:
         raise ValidationError("exactly one of --traj or --kernel must be given")
     if args.iso and args.n is None:
         raise ValidationError("--iso requires -n")
-    if args.lam is not None and args.lam <= 0:
-        raise ValidationError(f"--lambda must be positive, got {args.lam}")
     if args.traj is not None:
         model = DeterministicSpec(parse_trajectory(args.traj), lam=args.lam, window=args.window)
     elif args.lam is None:
@@ -144,10 +143,7 @@ def cmd_simulate(args) -> int:
     if args.traj is not None:
         thinned = np.vstack([rec.coal_times for rec in records])
         oracle = simulate_time_transform(
-            model.traj,
-            [_rng_for(args.seed + 1, r) for r in range(reps)],
-            samp_times=records[0].samp_times,
-            samp_counts=records[0].samp_counts,
+            model.traj, _rng_for(args.seed + 1, 0), records[0].samp_times, records[0].samp_counts, reps
         )
         ks = ks_against_oracle(thinned, oracle)
         report = {
@@ -393,6 +389,9 @@ def main(argv=None) -> int:
     except CoalgpError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return INTERRUPT_EXIT
 
 
 if __name__ == "__main__":

@@ -18,11 +18,11 @@ sampling time.
 
 Every sampler walks a batch of replicates in lockstep: the replicate is the
 array axis, and each round moves every live replicate by one candidate (the
-oracle: by one event or one epoch).  A replicate draws only from its own
-Generator, in blocks of ``BLOCK`` rounds, so its output does not depend on
-which other replicates share its batch.  The public functions take one
-Generator (one result, run as a batch of one) or a list of them (one result
-per Generator).
+oracle: by one event or one epoch).  Only the thinners take a list of
+Generators: one record per Generator, each replicate drawing only from its
+own Generator in blocks of ``BLOCK`` rounds, so its record does not depend on
+which other replicates share its batch; one Generator gives one record, run
+as a batch of one.  The oracle takes one Generator for the whole matrix.
 """
 
 from __future__ import annotations
@@ -46,14 +46,18 @@ BLOCK = 32  # rounds of unit draws a replicate takes from its Generator at a tim
 class DeterministicSpec:
     """A deterministic trajectory plus its thinning envelope.
 
-    ``lam``: certified global bound on 1/N_e; when None, a piecewise-constant
-    envelope is built from ``traj.sup_inv_ne`` over windows of width
-    ``window`` (default: the trajectory's own choice).
+    ``lam``: certified global bound on 1/N_e, finite and positive; when None,
+    a piecewise-constant envelope is built from ``traj.sup_inv_ne`` over
+    windows of width ``window`` (default: the trajectory's own choice).
     """
 
     traj: Trajectory
     lam: float | None = None
     window: float | None = None
+
+    def __post_init__(self):
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValidationError(f"lam must be finite and positive, got {self.lam}")
 
     def resolved_window(self) -> float:
         if self.lam is not None:
@@ -312,19 +316,6 @@ def simulate_hetero_thinning(
     return records if batch else records[0]
 
 
-def simulate_iso_thinning(
-    n: int,
-    spec: DeterministicSpec,
-    rng,
-    record_latent: bool = False,
-    proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-):
-    """Isochronous thinning: all n samples at time 0."""
-    return simulate_hetero_thinning(
-        [0.0], [n], spec, rng, record_latent=record_latent, proposal_cap=proposal_cap
-    )
-
-
 def simulate_hetero_thinning_gp(
     samp_times,
     samp_counts,
@@ -394,17 +385,6 @@ def simulate_hetero_thinning_gp(
     return records if batch else records[0]
 
 
-def simulate_iso_thinning_gp(
-    n: int,
-    kernel: GPKernel,
-    lam: float,
-    rng,
-    proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-):
-    """Isochronous GP thinning: all n samples at time 0."""
-    return simulate_hetero_thinning_gp([0.0], [n], kernel, lam, rng, proposal_cap=proposal_cap)
-
-
 def _invert_hazard(traj: Trajectory, walk: _Walk, unit: np.ndarray) -> np.ndarray:
     """Trace each replicate's unit exponentials (one row of ``unit`` per
     replicate, one per event) through its piecewise cumulative hazard.
@@ -437,39 +417,20 @@ def _invert_hazard(traj: Trajectory, walk: _Walk, unit: np.ndarray) -> np.ndarra
 
 
 def simulate_time_transform(
-    traj: Trajectory,
-    rng,
-    n: int | None = None,
-    samp_times=None,
-    samp_counts=None,
+    traj: Trajectory, rng: np.random.Generator, samp_times, samp_counts, replicates: int
 ) -> np.ndarray:
     """Exact simulation by inverting the cumulative hazard (the oracle).
 
-    One unit exponential per coalescent event, drawn in event order from the
-    replicate's Generator, is traced through the piecewise intensity: epochs
-    between sampling times consume their integrated hazard, the remainder is
-    inverted analytically or by monotone bracketing.  ``rng`` is one
-    Generator (a 1-D array of event times) or a list of them (one row each).
+    Returns a (replicates, n - 1) matrix of event times.  One Generator feeds
+    the whole matrix: the unit exponentials are drawn one event column (that
+    event across all replicates) at a time, in event order, and each row is
+    traced through the piecewise intensity: epochs between sampling times
+    consume their integrated hazard, the remainder is inverted analytically
+    or by monotone bracketing.
     """
-    if n is not None:
-        samp_times, samp_counts = [0.0], [n]
-    rngs, batch = _generators(rng)
-    walk = _Walk(samp_times, samp_counts, len(rngs))
-    unit = np.array([[g.exponential() for _ in range(walk.n_events)] for g in rngs], dtype=float)
-    out = _invert_hazard(traj, walk, unit)
-    return out if batch else out[0]
-
-
-def time_transform_replicates(
-    n: int, traj: Trajectory, replicates: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Matrix of isochronous oracle draws, shape (replicates, n - 1).
-
-    One Generator feeds the whole matrix: the unit exponentials are drawn a
-    column (one event across all replicates) at a time.
-    """
-    unit = np.column_stack([rng.exponential(size=replicates) for _ in range(n - 1)])
-    return _invert_hazard(traj, _Walk([0.0], [n], replicates), unit)
+    walk = _Walk(samp_times, samp_counts, replicates)
+    unit = np.column_stack([rng.exponential(size=replicates) for _ in range(walk.n_events)])
+    return _invert_hazard(traj, walk, unit)
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

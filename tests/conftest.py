@@ -13,11 +13,8 @@ def random_hetero_data(rng: np.random.Generator, max_batches: int = 3) -> Coales
     samp_counts = rng.integers(1, 5, size=m)
     samp_counts[0] = max(2, samp_counts[0])
     coal = simulate_time_transform(
-        ConstantTrajectory(float(rng.uniform(0.5, 2.0))),
-        rng,
-        samp_times=samp_times,
-        samp_counts=samp_counts,
-    )
+        ConstantTrajectory(float(rng.uniform(0.5, 2.0))), rng, samp_times, samp_counts, 1
+    )[0]
     return CoalescentData(coal, samp_times, samp_counts)
 
 

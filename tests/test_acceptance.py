@@ -31,9 +31,7 @@ from coalgp.simulate import (
     ks_against_oracle,
     simulate_hetero_thinning,
     simulate_hetero_thinning_gp,
-    simulate_iso_thinning,
-    simulate_iso_thinning_gp,
-    time_transform_replicates,
+    simulate_time_transform,
 )
 from coalgp.summarize import envelope, metric_report, mrw, sre, summarize, variation
 from coalgp.trajectories import BoomBustTrajectory, ConstantTrajectory, ExpGrowthTrajectory
@@ -59,8 +57,8 @@ def test_criterion_1_simulator_oracle_equivalence():
         rng = np.random.Generator(np.random.Philox(101))
         thinned = np.empty((reps, n - 1))
         for r in range(reps):
-            thinned[r] = simulate_iso_thinning(n, spec, rng).coal_times
-        oracle = time_transform_replicates(n, spec.traj, 100_000, rng)
+            thinned[r] = simulate_hetero_thinning([0.0], [n], spec, rng).coal_times
+        oracle = simulate_time_transform(spec.traj, rng, [0.0], [n], 100_000)
         ks = ks_against_oracle(thinned, oracle)
         worst = max(worst, float(ks.max()))
         details.append(f"{name} max KS {ks.max():.4f}")
@@ -77,7 +75,7 @@ def test_criterion_2_pairwise_survival_curve():
     spec = DeterministicSpec(ExpGrowthTrajectory(25.0, 5.0))
     rng = np.random.Generator(np.random.Philox(202))
     reps = 10_000
-    draws = np.array([simulate_iso_thinning(2, spec, rng).coal_times[0] for r in range(reps)])
+    draws = np.array([simulate_hetero_thinning([0.0], [2], spec, rng).coal_times[0] for r in range(reps)])
     worst_z, details = 0.0, []
     for t in (0.2, 0.5, 0.9):
         p = math.exp(-(math.exp(5.0 * t) - 1.0) / 125.0)
@@ -153,7 +151,7 @@ def test_criterion_5_metric_exactness():
 def test_criterion_6_desk_scale_recovery():
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(1234))
-    coal = time_transform_replicates(100, ConstantTrajectory(1.0), 1, rng)[0]
+    coal = simulate_time_transform(ConstantTrajectory(1.0), rng, [0.0], [100], 1)[0]
     data = CoalescentData.isochronous(coal)
     cfg = McmcConfig(
         iterations=100_000, burn_in=20_000, thin=10, seed=42,
@@ -228,7 +226,7 @@ def test_criterion_8_heterochronous_reduction():
     for seed in range(5):
         rng = np.random.Generator(np.random.Philox(800 + seed))
         n = int(rng.integers(4, 9))
-        coal = time_transform_replicates(n, ConstantTrajectory(1.0), 1, rng)[0]
+        coal = simulate_time_transform(ConstantTrajectory(1.0), rng, [0.0], [n], 1)[0]
         iso_data = CoalescentData.isochronous(coal)
         het_data = CoalescentData(coal, np.array([0.0]), np.array([n]))
 
@@ -236,13 +234,15 @@ def test_criterion_8_heterochronous_reduction():
         ok &= log_coalescent_likelihood(iso_data, traj) == log_coalescent_likelihood(het_data, traj)
 
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.5)
-        det_a = simulate_iso_thinning(n, spec, np.random.Generator(np.random.Philox(seed)))
+        det_a = simulate_hetero_thinning([0.0], [n], spec, np.random.Generator(np.random.Philox(seed)))
         det_b = simulate_hetero_thinning(
             [0.0], [n], spec, np.random.Generator(np.random.Philox(seed))
         )
         ok &= np.array_equal(det_a.coal_times, det_b.coal_times)
 
-        gp_a = simulate_iso_thinning_gp(n, kernel, 2.0, np.random.Generator(np.random.Philox(seed)))
+        gp_a = simulate_hetero_thinning_gp(
+            [0.0], [n], kernel, 2.0, np.random.Generator(np.random.Philox(seed))
+        )
         gp_b = simulate_hetero_thinning_gp(
             [0.0], [n], kernel, 2.0, np.random.Generator(np.random.Philox(seed))
         )
@@ -268,7 +268,7 @@ def test_criterion_8_heterochronous_reduction():
 
 def test_criterion_9_linear_iteration_cost():
     rng = np.random.Generator(np.random.Philox(7))
-    coal = time_transform_replicates(40, ConstantTrajectory(1.0), 1, rng)[0]
+    coal = simulate_time_transform(ConstantTrajectory(1.0), rng, [0.0], [40], 1)[0]
     data = CoalescentData.isochronous(coal)
     grid = build_interval_grid(data)
     cfg = McmcConfig(iterations=10, burn_in=0, lambda_hat=10.0)

@@ -3,6 +3,7 @@
 import base64
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -375,6 +376,10 @@ def test_replicates_parallel_workers_match_serial(tmp_path):
         assert run(base + ["--out", tmp_path / f"{name}-ser.json"]) == 0
         assert run(base + ["--workers", 3, "--out", tmp_path / f"{name}-par.json"]) == 0
         assert _records(tmp_path, f"{name}-ser", 7) == _records(tmp_path, f"{name}-par", 7), name
+        if "--traj" in inputs:
+            ks = [json.loads((tmp_path / f"{name}-{side}_ks_report.json").read_text())
+                  for side in ("ser", "par")]
+            assert ks[0]["ks_by_event"] == ks[1]["ks_by_event"], name
 
 
 @pytest.mark.parametrize("name", sorted(SIM_INPUTS))
@@ -646,6 +651,33 @@ def test_commands_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
     assert (tmp_path / "r_ks_report.json").exists()
+
+
+def test_ctrl_c_exits_130_without_traceback(tmp_path):
+    data, out = tmp_path / "d.json", tmp_path / "c.jsonl"
+    data.write_text(json.dumps({"coal_times": [0.4, 1.1], "samp_times": [0.0], "samp_counts": [3]}))
+    # a parent that ignores SIGINT passes that on, and Python then leaves
+    # SIGINT ignored: restore the handler a terminal session would have
+    script = (
+        "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+        "from coalgp.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "infer", "--data", str(data), "--iters", "100000", "--out", str(out)],
+        stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        first = proc.stderr.readline()
+        assert "iteration" in first, first
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130, err
+    assert "Traceback" not in err
+    assert err == "interrupted\n"
+    assert not out.exists()
 
 
 def test_import_cli_loads_no_process_pool():

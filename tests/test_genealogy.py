@@ -275,10 +275,7 @@ def test_one_schedule_check_for_data_and_simulators(name):
     with pytest.raises(ValidationError):
         CoalescentData(coal, samp_times, samp_counts)
     with pytest.raises(ValidationError):
-        simulate_time_transform(
-            ConstantTrajectory(1.0), np.random.default_rng(0),
-            samp_times=samp_times, samp_counts=samp_counts,
-        )
+        simulate_time_transform(ConstantTrajectory(1.0), np.random.default_rng(0), samp_times, samp_counts, 1)
 
 
 def test_coal_times_must_be_finite():

@@ -479,7 +479,7 @@ class TestPosteriorSelfConsistency:
         from coalgp.summarize import envelope, summarize
 
         rng = np.random.Generator(np.random.Philox(5))
-        coal = simulate_time_transform(ConstantTrajectory(1.0), rng, n=2)
+        coal = simulate_time_transform(ConstantTrajectory(1.0), rng, [0.0], [2], 1)[0]
         data = CoalescentData.isochronous(coal)
         cfg = McmcConfig(iterations=50_000, burn_in=10_000, thin=10, seed=8, lambda_hat=5.0)
         chain = run_chain(data, cfg, BrownianMotionKernel(init_var=10.0))

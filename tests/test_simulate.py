@@ -17,10 +17,7 @@ from coalgp.simulate import (
     ks_statistic,
     simulate_hetero_thinning,
     simulate_hetero_thinning_gp,
-    simulate_iso_thinning,
-    simulate_iso_thinning_gp,
     simulate_time_transform,
-    time_transform_replicates,
 )
 from coalgp.trajectories import BoomBustTrajectory, ConstantTrajectory, ExpGrowthTrajectory
 
@@ -32,30 +29,29 @@ class _FixedExponentials:
         self.values = list(values)
 
     def exponential(self, scale=1.0, size=None):
-        assert size is None
-        return self.values.pop(0) * scale
+        return np.array([self.values.pop(0) for _ in range(size)]) * scale
 
 
 class TestTimeTransform:
     def test_constant_identity_hazard(self):
         # unit draw 0.5 with N_e = 1 and two samples lands at exactly 0.5
-        out = simulate_time_transform(ConstantTrajectory(1.0), _FixedExponentials([0.5]), n=2)
-        assert out[0] == pytest.approx(0.5, abs=1e-12)
+        out = simulate_time_transform(ConstantTrajectory(1.0), _FixedExponentials([0.5]), [0.0], [2], 1)
+        assert out[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_expgrowth_closed_form(self):
-        out = simulate_time_transform(ExpGrowthTrajectory(25.0, 5.0), _FixedExponentials([1.0]), n=2)
-        assert out[0] == pytest.approx(math.log(126.0) / 5.0, abs=1e-10)
+        out = simulate_time_transform(ExpGrowthTrajectory(25.0, 5.0), _FixedExponentials([1.0]), [0.0], [2], 1)
+        assert out[0, 0] == pytest.approx(math.log(126.0) / 5.0, abs=1e-10)
 
     def test_constant_scaling(self, rng):
         # with N_e = c the root time of a pair is Exponential(1/c)
         c = 3.0
-        reps = time_transform_replicates(2, ConstantTrajectory(c), 4000, rng)
+        reps = simulate_time_transform(ConstantTrajectory(c), rng, [0.0], [2], 4000)
         ks = stats.kstest(reps[:, 0], "expon", args=(0.0, c)).statistic
         assert ks < 0.03
 
     def test_replicates_match_sequential(self):
         rng1 = np.random.default_rng(5)
-        reps = time_transform_replicates(6, BoomBustTrajectory(), 400, rng1)
+        reps = simulate_time_transform(BoomBustTrajectory(), rng1, [0.0], [6], 400)
         assert reps.shape == (400, 5)
         assert np.all(np.diff(reps, axis=1) > 0)
 
@@ -63,19 +59,19 @@ class TestTimeTransform:
 class TestIsoThinning:
     def test_tight_bound_accepts_first_proposal(self, rng):
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
-        rec = simulate_iso_thinning(2, spec, rng)
+        rec = simulate_hetero_thinning([0.0], [2], spec, rng)
         assert rec.n_proposals == 1
         assert len(rec.coal_times) == 1
 
     def test_pair_time_is_unit_exponential(self, rng):
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
-        draws = np.array([simulate_iso_thinning(2, spec, rng).coal_times[0] for _ in range(4000)])
+        draws = np.array([simulate_hetero_thinning([0.0], [2], spec, rng).coal_times[0] for _ in range(4000)])
         assert stats.kstest(draws, "expon").statistic < 0.03
 
     def test_kingman_interval_rates(self, rng):
         # constant size 1 with a tight bound: gaps are Exponential(binom(k, 2))
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
-        mat = np.array([simulate_iso_thinning(10, spec, rng).coal_times for _ in range(3000)])
+        mat = np.array([simulate_hetero_thinning([0.0], [10], spec, rng).coal_times for _ in range(3000)])
         gaps = np.diff(np.concatenate([np.zeros((3000, 1)), mat], axis=1), axis=1)
         for j, k in enumerate(range(10, 1, -1)):
             rate = k * (k - 1) / 2
@@ -86,28 +82,28 @@ class TestIsoThinning:
         # an inflated bound changes efficiency, not the law
         tight = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
         loose = DeterministicSpec(ConstantTrajectory(1.0), lam=7.0)
-        a = np.array([simulate_iso_thinning(6, tight, rng).coal_times for _ in range(2500)])
-        b = np.array([simulate_iso_thinning(6, loose, rng).coal_times for _ in range(2500)])
+        a = np.array([simulate_hetero_thinning([0.0], [6], tight, rng).coal_times for _ in range(2500)])
+        b = np.array([simulate_hetero_thinning([0.0], [6], loose, rng).coal_times for _ in range(2500)])
         assert np.max(ks_against_oracle(a, b)) < 0.05
 
     def test_windowed_envelope_matches_oracle(self, rng):
         # exponential growth has unbounded 1/N_e: only the local envelope works
         traj = ExpGrowthTrajectory(25.0, 5.0)
         spec = DeterministicSpec(traj)
-        thinned = np.array([simulate_iso_thinning(10, spec, rng).coal_times for _ in range(2500)])
-        oracle = time_transform_replicates(10, traj, 25_000, rng)
+        thinned = np.array([simulate_hetero_thinning([0.0], [10], spec, rng).coal_times for _ in range(2500)])
+        oracle = simulate_time_transform(traj, rng, [0.0], [10], 25_000)
         assert np.max(ks_against_oracle(thinned, oracle)) < 0.045
 
     def test_proposal_cap_raises(self, rng):
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1e6)
         with pytest.raises(SimulationError, match="cap"):
-            simulate_iso_thinning(2, spec, rng, proposal_cap=500)
+            simulate_hetero_thinning([0.0], [2], spec, rng, proposal_cap=500)
 
     def test_bound_violation_detected(self, rng):
         # lam certifies 1/N_e <= 0.5 but the trajectory dips below N_e = 2
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=0.5)
         with pytest.raises(SimulationError, match="bound violated"):
-            simulate_iso_thinning(4, spec, rng)
+            simulate_hetero_thinning([0.0], [4], spec, rng)
 
     def test_latent_points_form_thinned_poisson(self, rng):
         # constant case: rejected points are Poisson with rate C*lam*(1 - 1/(N_e*lam))
@@ -115,21 +111,20 @@ class TestIsoThinning:
         spec = DeterministicSpec(ConstantTrajectory(c), lam=lam)
         counts, expected = [], []
         for _ in range(2000):
-            rec = simulate_iso_thinning(2, spec, rng, record_latent=True)
+            rec = simulate_hetero_thinning([0.0], [2], spec, rng, record_latent=True)
             counts.append(len(rec.latent_by_interval[0]))
             expected.append(lam * (1 - 1 / (c * lam)) * rec.coal_times[0])
         total, exp_total = np.sum(counts), np.sum(expected)
         assert abs(total - exp_total) < 4 * math.sqrt(exp_total)
 
 
-class TestHeteroThinning:
-    def test_single_batch_is_bit_identical_to_iso(self):
-        spec = DeterministicSpec(BoomBustTrajectory())
-        for seed in range(5):
-            a = simulate_iso_thinning(8, spec, np.random.default_rng(seed))
-            b = simulate_hetero_thinning([0.0], [8], spec, np.random.default_rng(seed))
-            assert np.array_equal(a.coal_times, b.coal_times)
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_spec_rejects_unusable_lam(lam):
+    with pytest.raises(ValidationError, match="lam"):
+        DeterministicSpec(ConstantTrajectory(1.0), lam=lam)
 
+
+class TestHeteroThinning:
     def test_first_epoch_survival_probability(self, rng):
         # two lineages on (0, 0.5] at rate 1: no coalescence there w.p. e^{-0.5}
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
@@ -150,7 +145,7 @@ class TestHeteroThinning:
             [simulate_hetero_thinning(st, sc, spec, rng).coal_times for _ in range(2500)]
         )
         oracle = np.array(
-            [simulate_time_transform(traj, rng, samp_times=st, samp_counts=sc) for _ in range(2500)]
+            [simulate_time_transform(traj, rng, st, sc, 1)[0] for _ in range(2500)]
         )
         assert np.max(ks_against_oracle(thinned, oracle)) < 0.05
 
@@ -164,7 +159,7 @@ class TestHeteroThinning:
 class TestGpThinning:
     def test_record_structure(self, rng):
         kernel = BrownianMotionKernel(theta=2.0, init_var=1.0)
-        rec = simulate_iso_thinning_gp(8, kernel, 3.0, rng)
+        rec = simulate_hetero_thinning_gp([0.0], [8], kernel, 3.0, rng)
         assert len(rec.coal_times) == 7
         assert np.all(np.diff(rec.coal_times) > 0)
         fld = rec.gp_field
@@ -180,7 +175,7 @@ class TestGpThinning:
         lam = 2.0
         kernel = OrnsteinUhlenbeckKernel(theta=1e8, phi=1.0)
         draws = np.array(
-            [simulate_iso_thinning_gp(2, kernel, lam, rng).coal_times[0] for _ in range(3000)]
+            [simulate_hetero_thinning_gp([0.0], [2], kernel, lam, rng).coal_times[0] for _ in range(3000)]
         )
         assert stats.kstest(draws, "expon", args=(0.0, 2.0 / lam)).statistic < 0.035
 
@@ -190,14 +185,6 @@ class TestGpThinning:
         lam = 1.7
         f_comp = logit(expit(f) / 2.0)
         assert np.allclose(inv_ne_from_f(f_comp, 2 * lam), inv_ne_from_f(f, lam), rtol=1e-12)
-
-    def test_gp_single_batch_bit_identical_to_iso(self):
-        kernel = BrownianMotionKernel(theta=1.0, init_var=2.0)
-        for seed in range(5):
-            a = simulate_iso_thinning_gp(6, kernel, 2.0, np.random.default_rng(seed))
-            b = simulate_hetero_thinning_gp([0.0], [6], kernel, 2.0, np.random.default_rng(seed))
-            assert np.array_equal(a.coal_times, b.coal_times)
-            assert np.array_equal(a.gp_field.values, b.gp_field.values)
 
     def test_hetero_gp_runs_and_respects_epochs(self, rng):
         kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
@@ -214,7 +201,7 @@ class TestSurvivalCurve:
         traj = ExpGrowthTrajectory(25.0, 5.0)
         spec = DeterministicSpec(traj)
         reps = 4000
-        draws = np.array([simulate_iso_thinning(2, spec, rng).coal_times[0] for _ in range(reps)])
+        draws = np.array([simulate_hetero_thinning([0.0], [2], spec, rng).coal_times[0] for _ in range(reps)])
         for t in (0.15, 0.3, 0.5, 0.7, 0.9):
             p = math.exp(-(math.exp(5 * t) - 1) / 125.0)
             se = math.sqrt(p * (1 - p) / reps)
@@ -238,13 +225,13 @@ def test_ks_statistic_matches_scipy(rng):
 
 def test_record_json_round_trip(rng):
     kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
-    rec = simulate_iso_thinning_gp(5, kernel, 2.0, rng)
+    rec = simulate_hetero_thinning_gp([0.0], [5], kernel, 2.0, rng)
     rec2 = SimulationRecord.from_json(rec.to_json())
     assert np.array_equal(rec.coal_times, rec2.coal_times)
     assert np.array_equal(rec.gp_field.times, rec2.gp_field.times)
     assert np.array_equal(rec.gp_field.values, rec2.gp_field.values)
     spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
-    rec3 = simulate_iso_thinning(5, spec, rng, record_latent=True)
+    rec3 = simulate_hetero_thinning([0.0], [5], spec, rng, record_latent=True)
     rec4 = SimulationRecord.from_json(rec3.to_json())
     assert np.array_equal(rec3.latent_times, rec4.latent_times)
 
@@ -320,34 +307,23 @@ class TestBatchComposition:
         ids=["constant", "expgrowth", "boombust"],
     )
     def test_oracle(self, schedule, traj):
+        # one Generator drawn an event column at a time: row r is the walk of
+        # column r of that stream on its own
         st, sc = schedule
-        batch = simulate_time_transform(traj, _gens(SEEDS), samp_times=st, samp_counts=sc)
+        batch = simulate_time_transform(traj, _gens(SEEDS[:1])[0], st, sc, len(SEEDS))
         assert batch.shape == (len(SEEDS), sum(sc) - 1)
-        for r, seed in enumerate(SEEDS):
-            (gen,) = _gens([seed])
-            single = simulate_time_transform(traj, gen, samp_times=st, samp_counts=sc)
-            assert single.shape == (sum(sc) - 1,)
-            assert np.array_equal(batch[r], single)
-        assert np.array_equal(
-            simulate_time_transform(traj, _gens(SEEDS[3:6]), samp_times=st, samp_counts=sc), batch[3:6]
-        )
-
-    def test_iso_wrappers_pass_batches_through(self):
-        spec = DeterministicSpec(BoomBustTrajectory())
-        kernel = BrownianMotionKernel(theta=1.0, init_var=2.0)
-        for a, b in zip(simulate_iso_thinning(6, spec, _gens(SEEDS)),
-                        simulate_hetero_thinning([0.0], [6], spec, _gens(SEEDS))):
-            _assert_same_record(a, b)
-        for a, b in zip(simulate_iso_thinning_gp(6, kernel, 2.0, _gens(SEEDS)),
-                        simulate_hetero_thinning_gp([0.0], [6], kernel, 2.0, _gens(SEEDS))):
-            _assert_same_record(a, b)
+        assert np.all(np.diff(batch, axis=1) > 0)
+        unit = _gens(SEEDS[:1])[0].exponential(size=(sum(sc) - 1, len(SEEDS)))
+        for r in range(len(SEEDS)):
+            single = simulate_time_transform(traj, _FixedExponentials(unit[:, r]), st, sc, 1)
+            assert np.array_equal(batch[r], single[0])
 
     def test_proposal_cap_stops_the_batch(self):
         # lam 2 with N_e = 1: half the candidates are rejected, so some
         # replicate of the batch needs more than 3 proposals for an event
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=2.0)
         with pytest.raises(SimulationError, match="cap"):
-            simulate_iso_thinning(4, spec, _gens(SEEDS), proposal_cap=3)
+            simulate_hetero_thinning([0.0], [4], spec, _gens(SEEDS), proposal_cap=3)
 
 
 def test_gp_discards_at_most_one_candidate_per_sampling_time():
