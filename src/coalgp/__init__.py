@@ -25,7 +25,6 @@ from .gp_prior import (
     LatentField,
     OrnsteinUhlenbeckKernel,
     build_precision,
-    log_prior_density,
     predictive_grid_draw,
 )
 from .likelihood import (

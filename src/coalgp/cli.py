@@ -262,12 +262,13 @@ def cmd_summarize(args) -> int:
         summary = summarize(chain, grid, rng)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    # scored before any output is opened, so a failing metric writes nothing
+    report = metric_report(summary, truth.ne(grid)) if truth is not None else None
     out = _out_path(args.out)
     with open(out, "w") as fh:
         summary.write_csv(fh)
     print(f"wrote {out} ({len(grid)} rows)", file=sys.stderr)
-    if truth is not None:
-        report = metric_report(summary, truth.ne(grid))
+    if report is not None:
         metrics_path = _out_path(args.metrics_out or str(Path(args.out).with_suffix(".metrics.json")))
         with open(metrics_path, "w") as fh:
             report.write_json(fh)

@@ -97,10 +97,6 @@ class Genealogy:
                         "branch lengths are not supported"
                     )
 
-    @property
-    def n_tips(self) -> int:
-        return len(self.tips)
-
     def tip_heights(self) -> np.ndarray:
         return np.array([t.height for t in self.tips], dtype=float)
 
@@ -304,10 +300,6 @@ class CoalescentData:
     @property
     def n(self) -> int:
         return int(self.samp_counts.sum())
-
-    @property
-    def is_isochronous(self) -> bool:
-        return len(self.samp_times) == 1
 
     @property
     def tmrca(self) -> float:

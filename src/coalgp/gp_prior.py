@@ -167,16 +167,20 @@ class BrownianMotionKernel(_MarkovKernel):
             raise ValidationError("init_var must be non-negative")
 
     def innovation(self, t0, t1):
-        """Theta-free increment law from t0 to t1: rho = 1, v = u1 - u0 in
-        shifted time u = t + init_var.  t0 = -inf is the pinned start of the
-        shifted motion, u = 0 with f = 0."""
-        u1 = np.asarray(t1, dtype=float) + self.init_var
+        """Theta-free increment law from t0 to t1: rho = 1, v = t1 - t0.
+        t0 = -inf is the pinned start of the motion in shifted time
+        u = t + init_var (u = 0 with f = 0), so there v = t1 + init_var.
+        The gap is taken in t, not as a difference of shifted times, which
+        would round gaps below ulp(init_var) to 0."""
+        t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+        u1 = t1 + self.init_var
         if np.any(u1 <= 0):
             raise EvaluationError(
                 "Brownian motion with init_var=0 is pinned to 0 at t=0; "
                 "all times must satisfy t + init_var > 0"
             )
-        return np.ones_like(u1), u1 - np.maximum(np.asarray(t0, dtype=float) + self.init_var, 0.0)
+        v = np.where(np.isneginf(t0), u1, t1 - t0)
+        return np.ones_like(v), v
 
     def structure_tridiag(self, times: np.ndarray) -> TridiagPrecision:
         """Theta-free precision Q(1); the full precision is theta * Q(1)."""
@@ -238,13 +242,6 @@ def build_precision(times: np.ndarray, kernel: GPKernel) -> TridiagPrecision:
     return kernel.structure_tridiag(times).scaled(kernel.theta)
 
 
-def log_prior_density(times: np.ndarray, values: np.ndarray, kernel: GPKernel) -> float:
-    """Log density of the zero-mean Gaussian with the kernel's covariance."""
-    if len(times) == 0:
-        return 0.0
-    return build_precision(times, kernel).log_density(values)
-
-
 class LatentField:
     """Sorted time points with GP values; coalescent points flagged.
 
@@ -267,9 +264,6 @@ class LatentField:
     @property
     def size(self) -> int:
         return len(self.times)
-
-    def copy(self) -> "LatentField":
-        return LatentField(self.times, self.values, self.is_coal)
 
     @staticmethod
     def _inserted(arr, j, value):
@@ -311,9 +305,6 @@ class LatentField:
         self.times = np.delete(np.insert(self.times, at, times), moved)
         self.values = np.delete(np.insert(self.values, at, values), moved)
         self.is_coal = np.delete(np.insert(self.is_coal, at, False), moved)
-
-    def latent_times(self) -> np.ndarray:
-        return self.times[~self.is_coal]
 
     def coal_times(self) -> np.ndarray:
         return self.times[self.is_coal]

@@ -1,4 +1,4 @@
-"""Coalescent likelihoods: exact, conditional-intensity, and augmented forms.
+"""Coalescent likelihoods: exact and augmented forms.
 
 Everything is computed in log space; the sigmoid link and its complement go
 through softplus so that f excursions far beyond +-30 stay finite.  The
@@ -49,22 +49,6 @@ def ne_from_f(f, lam: float):
         raise ValidationError("lam must be positive")
     with np.errstate(over="ignore"):  # saturates to inf below f ~ -745
         return np.exp(np.logaddexp(0.0, np.negative(f))) / lam
-
-
-def inv_ne_from_f(f, lam: float):
-    """Bounded inverse population size lam * sigmoid(f), in (0, lam)."""
-    return lam * sigmoid(f)
-
-
-def conditional_intensity(t: float, grid: IntervalGrid, ne) -> float:
-    """Step-function event rate at t: pair count over N_e(t).
-
-    ``ne`` is a Trajectory or a plain callable of backward time.  Times
-    outside the genealogy's span raise ValidationError.
-    """
-    ne_fn = ne.ne if isinstance(ne, Trajectory) else ne
-    j = grid.interval_of(t)
-    return float(grid.coal_factor[j] / ne_fn(t))
 
 
 def log_coalescent_likelihood(
@@ -145,10 +129,3 @@ def lambda_log_prior(lam: float, prior: LambdaPrior) -> float:
         - math.log(prior.lam_hat)
         - (lam - prior.lam_hat) / prior.lam_hat
     )
-
-
-def sample_lambda_prior(prior: LambdaPrior, rng: np.random.Generator) -> float:
-    """One draw from the bound prior (used by generative checks)."""
-    if rng.random() < prior.eps:
-        return float(rng.uniform(0.0, prior.lam_hat))
-    return float(prior.lam_hat + rng.exponential(prior.lam_hat))

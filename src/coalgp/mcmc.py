@@ -25,6 +25,11 @@ relocation, so each sweep builds one theta-free prior precision (the GP's
 innovations) at them.  The slice step's prior draw, theta's Gamma rate and the
 log posterior's prior density all read it; theta is applied as the scalar that
 divides the innovation variances.
+
+:func:`run_chain` is the one sampler, each iteration one :func:`mcmc_sweep`
+of all five kernels.  The prior-recovery diagnostic :func:`run_prior_chain`
+has no data: it draws theta exactly, and :func:`mh_lambda` with an empty
+field and zero hazard weight leaves lambda's prior ratio.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import McmcError, ValidationError, require_keys
+from .errors import EvaluationError, McmcError, ValidationError, require_keys
 from .genealogy import CoalescentData, IntervalGrid, build_interval_grid
 from .gp_prior import (
     GPKernel,
@@ -196,7 +201,6 @@ def _decode_array(value, dtype: np.dtype, key: str) -> np.ndarray:
 class ChainOutput:
     draws: list
     acceptance: dict
-    log_posterior_trace: np.ndarray
     config: McmcConfig
     kernel: GPKernel
 
@@ -231,7 +235,6 @@ class ChainOutput:
         return cls(
             draws=[ChainDraw.from_json(obj) for obj in records],
             acceptance=header.get("acceptance", {}),
-            log_posterior_trace=np.zeros(0),
             config=config,
             kernel=kernel,
         )
@@ -412,20 +415,14 @@ def ess_update(
     prior: TridiagPrecision,
     rng: np.random.Generator,
     counters: dict | None = None,
-    likelihood_off: bool = False,
 ) -> ChainState:
     """One elliptical slice transition on the full f-vector."""
     field = state.field
     if field.size == 0:
         return state
     nu = prior.scaled(state.theta).sample_zero_mean(rng)
-
-    if likelihood_off:
-        loglik = lambda v: 0.0  # noqa: E731 - prior-only diagnostics
-    else:
-        signs = np.where(field.is_coal, 1.0, -1.0)
-        loglik = lambda v: float(np.sum(log_sigmoid(signs * v)))  # noqa: E731
-
+    signs = np.where(field.is_coal, 1.0, -1.0)
+    loglik = lambda v: float(np.sum(log_sigmoid(signs * v)))  # noqa: E731
     field.values = elliptical_slice_step(field.values, nu, loglik, rng)
     if counters is not None:
         counters["ess"][0] += 1
@@ -475,12 +472,12 @@ def mh_lambda(
     state: ChainState,
     prior: LambdaPrior,
     halfwidth: float,
-    grid: IntervalGrid,
+    hazard_weight: float,
     rng: np.random.Generator,
     counters: dict | None = None,
-    likelihood_off: bool = False,
 ) -> ChainState:
-    """Reflected-uniform Metropolis step on the thinning bound lambda."""
+    """Reflected-uniform Metropolis step on the thinning bound lambda, given
+    the grid's total hazard weight (sum of interval length times pair count)."""
     if counters is not None:
         counters["lambda"][1] += 1
     prop = state.lam + rng.uniform(-halfwidth, halfwidth)
@@ -488,12 +485,7 @@ def mh_lambda(
         prop = -prop
     if prop <= 0:
         return state
-    if likelihood_off:
-        log_ratio = lambda_log_prior(prop, prior) - lambda_log_prior(state.lam, prior)
-    else:
-        log_ratio = lambda_log_ratio(
-            state.lam, prop, state.field.size, grid.total_hazard_weight, prior
-        )
+    log_ratio = lambda_log_ratio(state.lam, prop, state.field.size, hazard_weight, prior)
     if math.isfinite(log_ratio) and math.log(rng.random()) < log_ratio:
         state.lam = float(prop)
         if counters is not None:
@@ -508,22 +500,17 @@ def mcmc_sweep(
     cfg: McmcConfig,
     rng: np.random.Generator,
     counters: dict | None = None,
-    likelihood_off: bool = False,
 ) -> TridiagPrecision:
     """One full iteration: RJ sweep(s), relocations, slice, theta, lambda.
     Returns the theta-free prior the sweep built, for the log posterior."""
-    if not likelihood_off:
-        for _ in range(cfg.rj_sweeps):
-            rj_update(state, grid, kernel, rng, counters)
-        for _ in range(cfg.location_moves):
-            location_update(state, grid, kernel, rng, counters)
+    for _ in range(cfg.rj_sweeps):
+        rj_update(state, grid, kernel, rng, counters)
+    for _ in range(cfg.location_moves):
+        location_update(state, grid, kernel, rng, counters)
     prior = kernel.structure_tridiag(state.field.times)
-    ess_update(state, prior, rng, counters, likelihood_off=likelihood_off)
+    ess_update(state, prior, rng, counters)
     gibbs_theta(state, prior, cfg.theta_alpha, cfg.theta_beta, rng)
-    mh_lambda(
-        state, cfg.lambda_prior, cfg.halfwidth, grid, rng, counters,
-        likelihood_off=likelihood_off,
-    )
+    mh_lambda(state, cfg.lambda_prior, cfg.halfwidth, grid.total_hazard_weight, rng, counters)
     return prior
 
 
@@ -534,20 +521,18 @@ def gamma_log_pdf(x: float, alpha: float, beta: float) -> float:
 
 
 def log_augmented_posterior(
-    state: ChainState, grid: IntervalGrid, prior: TridiagPrecision, cfg: McmcConfig,
-    likelihood_off: bool = False,
+    state: ChainState, grid: IntervalGrid, prior: TridiagPrecision, cfg: McmcConfig
 ) -> float:
     lp = prior.scaled(state.theta).log_density(state.field.values)
     lp += gamma_log_pdf(state.theta, cfg.theta_alpha, cfg.theta_beta)
     lp += lambda_log_prior(state.lam, cfg.lambda_prior)
-    if not likelihood_off:
-        lp += log_augmented_likelihood(state.field, grid, state.lam)
-    return lp
+    return lp + log_augmented_likelihood(state.field, grid, state.lam)
 
 
-def _state_dump(state: ChainState) -> dict:
+def _state_dump(state: ChainState, iteration: int | None = None) -> dict:
     vals = state.field.values
     return {
+        "iteration": iteration,
         "theta": state.theta,
         "lambda": state.lam,
         "field_size": state.field.size,
@@ -566,30 +551,30 @@ def run_chain(
     cfg: McmcConfig,
     kernel: GPKernel,
     progress=None,
-    likelihood_off: bool = False,
 ) -> ChainOutput:
-    """Run the full sampler and return retained post-burn-in draws.
+    """Run the augmented-posterior sampler and return the retained draws.
 
-    ``progress`` is an optional callable invoked as progress(iteration,
-    total, acceptance_dict) every ~5% of the run.  With ``likelihood_off``
-    every data term is dropped (latent moves skipped), leaving the prior as
-    the target; used by prior-recovery diagnostics.
+    Each iteration is one :func:`mcmc_sweep` followed by the log posterior,
+    which is stored with each retained post-burn-in draw.  A non-finite log
+    posterior, or an EvaluationError or McmcError inside the iteration,
+    aborts with an McmcError whose state dump names the iteration.  ``progress`` is an
+    optional callable invoked as progress(iteration, total, acceptance_dict)
+    every ~5% of the run.  Prior-only diagnostics use :func:`run_prior_chain`.
     """
     grid = build_interval_grid(data)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     state = ChainState.initial(grid, kernel, cfg)
     counters = _new_counters()
-    trace = np.empty(cfg.iterations)
     draws: list[ChainDraw] = []
     report_every = max(1, cfg.iterations // 20)
     for it in range(cfg.iterations):
-        prior = mcmc_sweep(state, grid, kernel, cfg, rng, counters, likelihood_off=likelihood_off)
-        lp = log_augmented_posterior(state, grid, prior, cfg, likelihood_off=likelihood_off)
+        try:
+            prior = mcmc_sweep(state, grid, kernel, cfg, rng, counters)
+            lp = log_augmented_posterior(state, grid, prior, cfg)
+        except (EvaluationError, McmcError) as exc:
+            raise McmcError(f"{exc} at iteration {it}", _state_dump(state, it)) from exc
         if not math.isfinite(lp):
-            dump = _state_dump(state)
-            dump["iteration"] = it
-            raise McmcError(f"non-finite log posterior at iteration {it}", dump)
-        trace[it] = lp
+            raise McmcError(f"non-finite log posterior at iteration {it}", _state_dump(state, it))
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             draws.append(
                 ChainDraw(
@@ -607,7 +592,6 @@ def run_chain(
     return ChainOutput(
         draws=draws,
         acceptance=acceptance_rates(counters),
-        log_posterior_trace=trace,
         config=cfg,
         kernel=kernel,
     )
@@ -635,7 +619,8 @@ def run_prior_chain(cfg: McmcConfig, kernel: GPKernel, times=()) -> dict:
     With no data there are no latent points and no f, so the theta update's
     full conditional is the prior itself, drawn exactly in log space (the
     default Gamma(0.001, 0.001) has most of its mass below float64 range);
-    lambda moves through the production reflected-uniform kernel.  Passing
+    lambda moves through the production reflected-uniform kernel with an
+    empty field and zero hazard weight, so its ratio is the prior ratio.  Passing
     ``times`` adds a whitened f-block (g = f * sqrt(theta)) so the
     theta <-> f alternation is exercised too; note that alternation mixes
     across log-theta in unit steps, so diffuse hyperpriors need of the order
@@ -665,7 +650,7 @@ def run_prior_chain(cfg: McmcConfig, kernel: GPKernel, times=()) -> dict:
             log_theta = new_log_theta
         else:
             log_theta = log_gamma_draw(shape, rng) - math.log(cfg.theta_beta)
-        mh_lambda(lam_state, prior, cfg.halfwidth, None, rng, likelihood_off=True)
+        mh_lambda(lam_state, prior, cfg.halfwidth, 0.0, rng)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             out_log_theta.append(log_theta)
             out_lam.append(lam_state.lam)

@@ -87,12 +87,6 @@ class SimulationRecord:
     gp_field: LatentField | None = None
     n_proposals: int = 0
 
-    @property
-    def latent_times(self) -> np.ndarray:
-        if not self.latent_by_interval:
-            return np.zeros(0)
-        return np.concatenate([np.asarray(g, dtype=float) for g in self.latent_by_interval])
-
     def to_json(self) -> dict:
         out = {
             "samp_times": np.asarray(self.samp_times).tolist(),

@@ -11,11 +11,20 @@ Disagreement in any moment flags a defective kernel.
 import numpy as np
 
 from coalgp.genealogy import CoalescentData, build_interval_grid
-from coalgp.likelihood import sample_lambda_prior
+from coalgp.gp_prior import LatentField
+from coalgp.likelihood import LambdaPrior
 from coalgp.mcmc import ChainState, McmcConfig, mcmc_sweep, mh_lambda
 from coalgp.simulate import simulate_hetero_thinning_gp
 
 STAT_NAMES = ("theta", "lambda", "mean_f")
+
+
+def sample_lambda_prior(prior: LambdaPrior, rng: np.random.Generator) -> float:
+    """One draw from the bound prior: uniform on (0, lam_hat) with
+    probability eps, else lam_hat plus an exponential of scale lam_hat."""
+    if rng.random() < prior.eps:
+        return float(rng.uniform(0.0, prior.lam_hat))
+    return float(prior.lam_hat + rng.exponential(prior.lam_hat))
 
 
 def _draw_joint(samp_times, samp_counts, kernel, cfg, rng):
@@ -51,11 +60,12 @@ def successive_conditional(
     for s in range(n_samples):
         data = CoalescentData(rec.coal_times, samp_times, samp_counts)
         grid = build_interval_grid(data)
-        state = ChainState(rec.gp_field.copy(), theta, lam)
+        fld = rec.gp_field
+        state = ChainState(LatentField(fld.times, fld.values, fld.is_coal), theta, lam)
         for _ in range(sweeps_per_cycle):
             mcmc_sweep(state, grid, kernel, cfg, rng)
         for _ in range(extra_lambda_steps):
-            mh_lambda(state, cfg.lambda_prior, cfg.halfwidth, grid, rng)
+            mh_lambda(state, cfg.lambda_prior, cfg.halfwidth, grid.total_hazard_weight, rng)
         theta, lam = state.theta, state.lam
         rec = simulate_hetero_thinning_gp(
             samp_times, samp_counts, kernel.with_theta(theta), lam, rng

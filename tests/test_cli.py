@@ -138,6 +138,25 @@ class TestInferCommand:
         assert "Traceback" not in err
         assert key in err
 
+    def test_evaluation_error_aborts_with_state_dump(self, tmp_path, monkeypatch, capsys):
+        import coalgp.mcmc
+        from coalgp.errors import EvaluationError
+
+        def fail(*args, **kwargs):
+            raise EvaluationError("times must be strictly increasing without duplicates")
+
+        monkeypatch.setattr(coalgp.mcmc, "ess_update", fail)
+        tree = tmp_path / "t.nwk"
+        tree.write_text(TREE)
+        out = tmp_path / "chain.jsonl"
+        assert run(self.infer_args(tree, out)) == 3
+        err = capsys.readouterr().err
+        assert "strictly increasing" in err and "Traceback" not in err
+        dump = json.loads(out.with_suffix(".abort.json").read_text())
+        assert dump["state"]["iteration"] == 0
+        assert "iteration 0" in dump["error"]
+        assert not out.exists()
+
     def test_infer_determinism(self, tmp_path):
         tree = tmp_path / "t.nwk"
         tree.write_text(TREE)
@@ -186,6 +205,14 @@ class TestSummarizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_failing_metric_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        chain = self.make_chain(tmp_path)
+        out = tmp_path / "summary.csv"
+        capsys.readouterr()
+        assert run(["summarize", "--chain", chain, "--grid", 1, "--truth", "constant:1", "--out", out]) == 2
+        assert "two grid points" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".metrics.json").exists()
 
     def test_extrapolation_warns(self, tmp_path, capsys):
         chain = self.make_chain(tmp_path)

@@ -22,7 +22,7 @@ THREE_TIP_HETERO = "((A:0.3,B:0.3):0.7,C:0.5);"
 class TestParseNewick:
     def test_two_tip_symmetric(self):
         g = parse_newick(TWO_TIP)
-        assert g.n_tips == 2
+        assert len(g.tips) == 2
         assert np.allclose(sorted(g.tip_heights()), [0.0, 0.0])
         assert g.root.height == pytest.approx(1.0)
 
@@ -70,7 +70,7 @@ class TestParseNewick:
 
     def test_embedded_dates(self):
         g = parse_newick("((A|1993:0.3,B|1993:0.3):0.7,C|1992.5:0.5);", date_delimiter="|")
-        assert g.n_tips == 3
+        assert len(g.tips) == 3
 
     def test_embedded_dates_inconsistent(self):
         with pytest.raises(ValidationError, match="date"):
@@ -79,7 +79,7 @@ class TestParseNewick:
     def test_sidecar_dates(self):
         dates = read_tip_dates("A\t2000\nB\t2000\nC\t1999.5\n")
         g = parse_newick(THREE_TIP_HETERO, tip_dates=dates)
-        assert g.n_tips == 3
+        assert len(g.tips) == 3
         with pytest.raises(ValidationError, match="date"):
             parse_newick(THREE_TIP_ISO, tip_dates=dates)
 
@@ -92,20 +92,20 @@ class TestExtract:
     def test_two_tip(self):
         d = extract_coalescent_data(parse_newick(TWO_TIP))
         assert np.allclose(d.coal_times, [1.0])
-        assert d.is_isochronous
+        assert list(d.samp_times) == [0.0]
         assert list(d.samp_counts) == [2]
 
     def test_three_tip_iso(self):
         d = extract_coalescent_data(parse_newick(THREE_TIP_ISO))
         assert np.allclose(d.coal_times, [0.3, 1.0])
-        assert d.is_isochronous
+        assert list(d.samp_times) == [0.0]
+        assert list(d.samp_counts) == [3]
 
     def test_three_tip_hetero(self):
         d = extract_coalescent_data(parse_newick(THREE_TIP_HETERO))
         assert np.allclose(d.coal_times, [0.3, 1.0])
         assert np.allclose(d.samp_times, [0.0, 0.5])
         assert list(d.samp_counts) == [2, 1]
-        assert not d.is_isochronous
 
     def test_tied_internal_heights_rejected(self):
         with pytest.raises(ValidationError, match="tied"):
@@ -248,6 +248,10 @@ class TestIntervalGrid:
         assert grid.interval_of(0.3) == 0  # right-closed at the coalescent time
         assert grid.interval_of(0.4) == 1
         assert grid.interval_of(0.7) == 2
+        # pair counts by lookup: one lineage between the coalescence and the
+        # second sample
+        assert grid.coal_factor[grid.interval_of(0.4)] == 0.0
+        assert grid.coal_factor[grid.interval_of(0.7)] == 1.0
         with pytest.raises(ValidationError):
             grid.interval_of(1.5)
         with pytest.raises(ValidationError):

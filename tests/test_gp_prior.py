@@ -17,7 +17,6 @@ from coalgp.gp_prior import (
     conditional_draw_at,
     kernel_from_json,
     kernel_to_json,
-    log_prior_density,
     predictive_grid_draw,
 )
 
@@ -72,7 +71,7 @@ class TestPrecision:
             times = np.sort(rng.uniform(0.0 if kind == "ou" else 0.05, 6.0, size=30))
             f = rng.standard_normal(30) / math.sqrt(kernel.theta)
             dense = multivariate_normal(mean=np.zeros(30), cov=kernel.covariance(times))
-            assert log_prior_density(times, f, kernel) == pytest.approx(dense.logpdf(f), abs=1e-8)
+            assert build_precision(times, kernel).log_density(f) == pytest.approx(dense.logpdf(f), abs=1e-8)
             q = build_precision(times, kernel)
             cov_inv = np.linalg.inv(kernel.covariance(times))
             assert q.quad_form(f) == pytest.approx(f @ cov_inv @ f, rel=1e-8)
@@ -103,8 +102,6 @@ class TestPrecision:
             for times in ([0.5, 0.5], [0.1, 1.0, 1.0, 2.0], [1.0, 0.5]):
                 with pytest.raises(EvaluationError):
                     build_precision(times, kernel)
-                with pytest.raises(EvaluationError):
-                    log_prior_density(times, np.zeros(len(times)), kernel)
         # OU gaps so small that 1 - rho^2 is 0 in float64
         with pytest.raises(EvaluationError):
             build_precision([1.0, 1.0 + 1e-300], OrnsteinUhlenbeckKernel(phi=1e-30))
@@ -123,12 +120,12 @@ class TestLogPriorDensity:
         times = np.sort(rng.uniform(0.1, 3.0, size=5))
         q = build_precision(times, kernel)
         expected = 0.5 * q.log_det() - 2.5 * math.log(2 * math.pi)
-        assert log_prior_density(times, np.zeros(5), kernel) == pytest.approx(expected, abs=1e-12)
+        assert q.log_density(np.zeros(5)) == pytest.approx(expected, abs=1e-12)
 
     def test_single_point_scalar_gaussian(self):
         # t=1, theta=1, no initial variance: f(1) ~ N(0, 1)
         k = BrownianMotionKernel(theta=1.0, init_var=0.0)
-        assert log_prior_density([1.0], [1.0], k) == pytest.approx(
+        assert build_precision([1.0], k).log_density([1.0]) == pytest.approx(
             -0.5 - 0.5 * math.log(2 * math.pi), abs=1e-12
         )
 
@@ -138,7 +135,7 @@ class TestLogPriorDensity:
             times = np.sort(rng.uniform(0.1, 4.0, size=6))
             f = rng.standard_normal(6)
             dense = multivariate_normal(mean=np.zeros(6), cov=kernel.covariance(times))
-            assert log_prior_density(times, f, kernel) == pytest.approx(
+            assert build_precision(times, kernel).log_density(f) == pytest.approx(
                 dense.logpdf(f), abs=1e-8
             )
 
@@ -165,7 +162,7 @@ class TestLogPriorDensity:
             dense = multivariate_normal(
                 mean=np.zeros(3), cov=kernel.covariance(times)[np.ix_(sub, sub)]
             )
-            assert log_prior_density(times[sub], f[sub], kernel) == pytest.approx(
+            assert build_precision(times[sub], kernel).log_density(f[sub]) == pytest.approx(
                 dense.logpdf(f[sub]), abs=1e-8
             )
 
@@ -179,17 +176,17 @@ class TestLogPriorDensity:
         cov = kernel.covariance(times)
         mean, var = dense_conditional(cov, sub, comp, f[sub])
         cond = multivariate_normal(mean=mean, cov=var).logpdf(f[comp])
-        total = log_prior_density(times[sub], f[sub], kernel) + cond
-        assert log_prior_density(times, f, kernel) == pytest.approx(total, abs=1e-8)
+        total = build_precision(times[sub], kernel).log_density(f[sub]) + cond
+        assert build_precision(times, kernel).log_density(f) == pytest.approx(total, abs=1e-8)
 
 
 def bm_ou_closed_forms(kernel, t, lt, lf, rt, rf):
     """The kernels' conditional moments written out per kernel: the Brownian
     bridge in shifted time, and the OU two-sided regression."""
     if isinstance(kernel, BrownianMotionKernel):
-        u, ul, ur = t + kernel.init_var, np.maximum(lt + kernel.init_var, 0.0), rt + kernel.init_var
-        gap_l, gap_r = u - ul, ur - u
-        mean = lf + gap_l / (ur - ul) * (rf - lf)
+        # gaps in t; a missing left neighbour is the pinned start u = 0
+        gap_l, gap_r = np.where(np.isneginf(lt), t + kernel.init_var, t - lt), rt - t
+        mean = lf + gap_l / (gap_l + gap_r) * (rf - lf)
         return mean, gap_l / ((1.0 + gap_l / gap_r) * kernel.theta)
     phi = kernel.phi
     rl, rr = np.exp(-phi * (t - lt)), np.exp(-phi * (rt - t))
@@ -301,6 +298,16 @@ class TestConditionalMoments:
             assert rho == (1.0 if kind == "bm" else 0.0)
             assert v / kernel.theta == pytest.approx(c[1, 1], rel=1e-12)
 
+    def test_bm_gap_below_ulp_of_init_var(self):
+        # a gap far below ulp(init_var) ~ 1.4e-14 keeps its exact length
+        kernel = BrownianMotionKernel()
+        t0 = 1e-9
+        for gap in (1e-13, 1e-15):
+            rho, v = kernel.innovation(t0, t0 + gap)
+            assert rho == 1.0 and v == (t0 + gap) - t0 and v > 0
+        prec = kernel.structure_tridiag([t0, t0 + 1e-15, 0.5])
+        assert np.all(prec.var > 0)
+
     def test_draw_monte_carlo_moments(self, rng):
         # 1e5 draws between two anchors: sample moments within 4 standard errors
         kernel = BrownianMotionKernel(theta=1.7, init_var=0.5)
@@ -386,12 +393,12 @@ class TestJointDraws:
         kernel = random_kernel(rng)
         times = np.sort(rng.uniform(0.1, 3.0, size=4))
         field = LatentField(times, rng.standard_normal(4), [True] * 4)
-        before = log_prior_density(field.times, field.values, kernel)
+        before = build_precision(field.times, kernel).log_density(field.values)
         t_new = 5.0
         val = conditional_draw_at(field, t_new, kernel, rng)
         j = field.insert(t_new, val)
         field.remove(j)
-        after = log_prior_density(field.times, field.values, kernel)
+        after = build_precision(field.times, kernel).log_density(field.values)
         assert before == after
 
     def test_collision_raises(self, rng):

@@ -1,4 +1,4 @@
-"""Exact, intensity, augmented, and hyperprior densities.
+"""Exact, augmented, and hyperprior densities.
 
 The augmented-vs-marginal Monte Carlo check integrates the augmented density
 over latent configurations with an importance proposal whose density is the
@@ -17,17 +17,15 @@ from coalgp.genealogy import CoalescentData, build_interval_grid
 from coalgp.gp_prior import LatentField
 from coalgp.likelihood import (
     LambdaPrior,
-    conditional_intensity,
-    inv_ne_from_f,
     lambda_log_prior,
     log_augmented_likelihood,
     log_coalescent_likelihood,
     log_sigmoid,
     ne_from_f,
-    sample_lambda_prior,
     sigmoid,
 )
 from coalgp.trajectories import CallableTrajectory, ConstantTrajectory, ExpGrowthTrajectory
+import geweke
 from conftest import random_hetero_data
 
 HETERO = CoalescentData([0.3, 1.0], [0.0, 0.5], [2, 1])
@@ -38,7 +36,6 @@ class TestSigmoidLink:
         assert ne_from_f(0.0, 2.0) == pytest.approx(1.0)
         assert ne_from_f(800.0, 4.0) == pytest.approx(0.25)
         assert ne_from_f(math.log(3.0), 1.0) == pytest.approx(4.0 / 3.0)
-        assert inv_ne_from_f(math.log(3.0), 1.0) == pytest.approx(0.75)
 
     def test_always_above_lower_bound(self, rng):
         f = rng.standard_normal(100_000) * 40.0
@@ -67,28 +64,6 @@ class TestSigmoidLink:
     def test_stable_for_extreme_f(self):
         assert np.isfinite(ne_from_f(-700.0, 1.0))
         assert ne_from_f(-50.0, 1.0) == pytest.approx(1.0 + math.exp(50.0))
-
-
-class TestConditionalIntensity:
-    def test_isochronous_factor(self):
-        d = CoalescentData.isochronous([0.3, 1.0])
-        grid = build_interval_grid(d)
-        assert conditional_intensity(0.1, grid, ConstantTrajectory(1.0)) == pytest.approx(3.0)
-        assert conditional_intensity(0.9, grid, ConstantTrajectory(1.0)) == pytest.approx(1.0)
-
-    def test_single_lineage_interval_is_zero(self):
-        grid = build_interval_grid(HETERO)
-        assert conditional_intensity(0.4, grid, ConstantTrajectory(1.0)) == 0.0
-
-    def test_hetero_example_lookup(self):
-        grid = build_interval_grid(HETERO)
-        traj = ExpGrowthTrajectory(25.0, 5.0)
-        assert conditional_intensity(0.7, grid, traj) == pytest.approx(1.0 / traj.ne(0.7))
-
-    def test_outside_span(self):
-        grid = build_interval_grid(HETERO)
-        with pytest.raises(ValidationError):
-            conditional_intensity(1.2, grid, ConstantTrajectory(1.0))
 
 
 class TestExactLikelihood:
@@ -284,7 +259,7 @@ class TestLambdaPrior:
 
     def test_sampler_matches_density(self, rng):
         prior = LambdaPrior(lam_hat=3.0, eps=0.3)
-        draws = np.array([sample_lambda_prior(prior, rng) for _ in range(20_000)])
+        draws = np.array([geweke.sample_lambda_prior(prior, rng) for _ in range(20_000)])
         # mass below the best guess
         assert abs(np.mean(draws < prior.lam_hat) - prior.eps) < 0.015
         tail = draws[draws >= prior.lam_hat]

@@ -14,7 +14,6 @@ from coalgp.gp_prior import (
     LatentField,
     OrnsteinUhlenbeckKernel,
     build_precision,
-    log_prior_density,
 )
 from coalgp.likelihood import LambdaPrior, lambda_log_prior, log_augmented_likelihood
 from coalgp.mcmc import (
@@ -83,7 +82,7 @@ class TestReversibleJumpRatios:
             rj_update(state, grid, kernel, rng)
         _, count = grid.latent_slices(state.field.times)
         assert count.sum() == int(np.sum(~state.field.is_coal))
-        latent = state.field.latent_times()
+        latent = state.field.times[~state.field.is_coal]
         recounted = np.bincount(grid.interval_of_many(latent), minlength=grid.n_intervals)
         assert np.array_equal(recounted, count)
 
@@ -101,7 +100,7 @@ class TestReversibleJumpRatios:
         assert count.sum() == int(np.sum(~state.field.is_coal))
         assert np.all(np.diff(state.field.times) > 0)
         assert np.array_equal(state.field.coal_times(), grid.coal_event_times)
-        latent = state.field.latent_times()
+        latent = state.field.times[~state.field.is_coal]
         recounted = np.bincount(grid.interval_of_many(latent), minlength=grid.n_intervals)
         assert np.array_equal(recounted, count)
         assert recounted[grid.coal_factor == 0].sum() == 0
@@ -171,7 +170,7 @@ class TestLocationUpdate:
             location_update(state, grid, kernel, rng)
             # a relocation keeps every interval's count
             assert np.array_equal(grid.latent_slices(state.field.times)[1], count)
-        latent = state.field.latent_times()
+        latent = state.field.times[~state.field.is_coal]
         recounted = np.bincount(grid.interval_of_many(latent), minlength=grid.n_intervals)
         assert np.array_equal(recounted, count)
 
@@ -278,24 +277,6 @@ class TestMhLambda:
 
 
 class TestPriorRecovery:
-    def test_moderate_hyperpriors_through_production_chain(self):
-        # likelihood off: theta and lambda marginals must reproduce the priors
-        data = small_data()
-        cfg = McmcConfig(
-            iterations=20_000, burn_in=1000, thin=2, seed=11,
-            theta_alpha=2.0, theta_beta=2.0, lambda_hat=2.0, lambda_eps=0.3,
-            lambda_halfwidth=1.0,
-        )
-        out = run_chain(data, cfg, BrownianMotionKernel(init_var=1.0), likelihood_off=True)
-        thetas = np.array([d.theta for d in out.draws])
-        lams = np.array([d.lam for d in out.draws])
-        se_t = geweke.batch_se(thetas)
-        assert abs(thetas.mean() - 1.0) < 4 * se_t  # Gamma(2,2) mean
-        se_t2 = geweke.batch_se(thetas**2)
-        assert abs(np.mean(thetas**2) - 1.5) < 4 * se_t2  # E[theta^2] = a(a+1)/b^2
-        prior_mean = 0.3 * 1.0 + 0.7 * (2.0 + 2.0)  # eps*lam_hat/2 + (1-eps)*2*lam_hat
-        assert abs(lams.mean() - prior_mean) < 4 * geweke.batch_se(lams)
-
     def test_prior_chain_matches_diffuse_priors(self):
         # the production-default Gamma(0.001, 0.001) lives far below float
         # range; the prior chain carries log(theta) and must match its
@@ -328,6 +309,10 @@ class TestPriorRecovery:
 
         assert abs(lt.mean() - (psi(2.0) - math.log(2.0))) < 4 * geweke.batch_se(lt)
         assert abs(lt.var(ddof=1) - float(polygamma(1, 2.0))) < 0.1
+        # lambda moves through the production kernel with zero hazard weight
+        lams = out["lambda"]
+        prior_mean = 0.3 * 1.0 + 0.7 * (2.0 + 2.0)  # eps*lam_hat/2 + (1-eps)*2*lam_hat
+        assert abs(lams.mean() - prior_mean) < 4 * geweke.batch_se(lams)
 
 
 class TestRunChain:
@@ -342,7 +327,7 @@ class TestRunChain:
             assert da.theta == db.theta and da.lam == db.lam
             assert np.array_equal(da.times, db.times)
             assert np.array_equal(da.values, db.values)
-        assert np.array_equal(a.log_posterior_trace, b.log_posterior_trace)
+            assert da.log_posterior == db.log_posterior
 
     def test_acceptance_rates_in_unit_interval(self):
         data = small_data()
@@ -350,7 +335,7 @@ class TestRunChain:
         out = run_chain(data, cfg, BrownianMotionKernel(init_var=1.0))
         for rate in out.acceptance.values():
             assert 0.0 <= rate <= 1.0
-        assert np.all(np.isfinite(out.log_posterior_trace))
+        assert all(math.isfinite(d.log_posterior) for d in out.draws)
 
     def test_hetero_single_batch_matches_iso_bitwise(self, rng):
         # acceptance-style reduction at unit-test scale
@@ -383,11 +368,21 @@ class TestRunChain:
         grid = build_interval_grid(data)
         for d in run_chain(data, cfg, kernel).draws:
             assert d.log_posterior == (
-                log_prior_density(d.times, d.values, kernel.with_theta(d.theta))
+                build_precision(d.times, kernel.with_theta(d.theta)).log_density(d.values)
                 + gamma_log_pdf(d.theta, cfg.theta_alpha, cfg.theta_beta)
                 + lambda_log_prior(d.lam, cfg.lambda_prior)
                 + log_augmented_likelihood(d.to_field(), grid, d.lam)
             )
+
+    def test_default_kernel_on_coalescences_1e15_apart(self):
+        # BM's innovation takes the gap in t: shifted times t + init_var
+        # would round this gap to 0
+        data = CoalescentData([1e-9, 1e-9 + 1e-15, 0.5, 1.0], [0.0], [5])
+        cfg = McmcConfig(iterations=300, burn_in=100, thin=5, seed=2)
+        out = run_chain(data, cfg, BrownianMotionKernel())
+        assert len(out.draws) == 40
+        for d in out.draws:
+            assert math.isfinite(d.log_posterior) and np.all(np.isfinite(d.values))
 
     def test_jsonl_round_trip(self, tmp_path):
         data = small_data()

@@ -9,7 +9,7 @@ from scipy.special import expit, logit
 
 from coalgp.errors import CoalgpError, SimulationError, ValidationError
 from coalgp.gp_prior import BrownianMotionKernel, OrnsteinUhlenbeckKernel
-from coalgp.likelihood import inv_ne_from_f
+from coalgp.likelihood import sigmoid
 from coalgp.simulate import (
     DeterministicSpec,
     SimulationRecord,
@@ -20,6 +20,11 @@ from coalgp.simulate import (
     simulate_time_transform,
 )
 from coalgp.trajectories import BoomBustTrajectory, ConstantTrajectory, ExpGrowthTrajectory
+
+
+def latent_times(rec):
+    """A record's thinned times, all intervals in order."""
+    return np.concatenate([np.zeros(0), *(np.asarray(g, dtype=float) for g in rec.latent_by_interval)])
 
 
 class _FixedExponentials:
@@ -164,7 +169,7 @@ class TestGpThinning:
         assert np.all(np.diff(rec.coal_times) > 0)
         fld = rec.gp_field
         assert np.array_equal(fld.times[fld.is_coal], rec.coal_times)
-        assert np.array_equal(np.sort(np.concatenate([rec.coal_times, rec.latent_times])), fld.times)
+        assert np.array_equal(np.sort(np.concatenate([rec.coal_times, latent_times(rec)])), fld.times)
         bounds = np.concatenate([[0.0], rec.coal_times])
         for j, group in enumerate(rec.latent_by_interval):
             assert np.all(group > bounds[j]) and np.all(group < bounds[j + 1])
@@ -184,14 +189,14 @@ class TestGpThinning:
         f = rng.standard_normal(1000) * 3.0
         lam = 1.7
         f_comp = logit(expit(f) / 2.0)
-        assert np.allclose(inv_ne_from_f(f_comp, 2 * lam), inv_ne_from_f(f, lam), rtol=1e-12)
+        assert np.allclose(2 * lam * sigmoid(f_comp), lam * sigmoid(f), rtol=1e-12)
 
     def test_hetero_gp_runs_and_respects_epochs(self, rng):
         kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
         rec = simulate_hetero_thinning_gp([0.0, 0.3, 0.8], [3, 2, 2], kernel, 3.0, rng)
         assert len(rec.coal_times) == 6
         # latent points recorded only inside epochs, never beyond the root
-        assert np.all(rec.latent_times < rec.coal_times[-1])
+        assert np.all(latent_times(rec) < rec.coal_times[-1])
 
 
 class TestSurvivalCurve:
@@ -233,7 +238,7 @@ def test_record_json_round_trip(rng):
     spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
     rec3 = simulate_hetero_thinning([0.0], [5], spec, rng, record_latent=True)
     rec4 = SimulationRecord.from_json(rec3.to_json())
-    assert np.array_equal(rec3.latent_times, rec4.latent_times)
+    assert np.array_equal(latent_times(rec3), latent_times(rec4))
 
 
 def _gens(seeds):

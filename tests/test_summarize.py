@@ -27,7 +27,6 @@ def synthetic_chain(draws):
     return ChainOutput(
         draws=draws,
         acceptance={},
-        log_posterior_trace=np.zeros(0),
         config=cfg,
         kernel=BrownianMotionKernel(init_var=1.0),
     )
@@ -143,7 +142,6 @@ class TestSummarize:
         shuffled = ChainOutput(
             draws=list(reversed(chain.draws)),
             acceptance={},
-            log_posterior_trace=np.zeros(0),
             config=chain.config,
             kernel=chain.kernel,
         )
