@@ -11,8 +11,8 @@ own stream, so its file is the same for every batch size and worker count
 --proposal-cap) must be at least 1, real-valued flags finite.  Exit codes: 0
 on success, 2 for usage or input-validation problems (including unreadable or
 unwritable paths and out-of-range parameter values), 3 for runtime failures
-(proposal caps, sampler aborts), 130 when interrupted (Ctrl-C); a sampler
-abort writes a state dump next to the requested output.
+(proposal caps, sampler aborts, failed allocations), 130 when interrupted
+(Ctrl-C); a sampler abort writes a state dump next to the requested output.
 """
 
 from __future__ import annotations
@@ -324,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--lambda", dest="lam", type=_real, help="certified bound on 1/N_e")
     sim.add_argument("--window", type=_real, help="lookahead width for the local-bound envelope")
     sim.add_argument("--record-latent", action="store_true", help="record thinned points (deterministic runs)")
-    sim.add_argument("--proposal-cap", type=_count, default=10_000_000, help="proposals allowed per coalescent interval")
+    sim.add_argument(
+        "--proposal-cap", type=_count, default=10_000_000,
+        help="candidate rounds allowed per coalescent interval, envelope-window steps that propose nothing included",
+    )
     sim.add_argument("--replicates", type=_count, default=1)
     sim.add_argument("--workers", type=_count, default=1, help="processes, each simulating one contiguous chunk of replicates")
     sim.add_argument("--seed", type=int, default=0)
@@ -387,8 +390,8 @@ def main(argv=None) -> int:
     except (NewickError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except CoalgpError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (CoalgpError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return RUNTIME_EXIT
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewickError, ValidationError, require_keys
+from .gp_prior import run_rank
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _LABEL_STOP = set("(),:;[]")
@@ -231,6 +232,9 @@ def parse_newick(
         missing = [t.label for t in g.tips if t.label not in dates]
         if missing:
             raise ValidationError(f"tip dates missing for {missing[:5]}")
+        for tip in g.tips:
+            if not math.isfinite(dates[tip.label]):
+                raise ValidationError(f"tip {tip.label!r}: date {dates[tip.label]} is not finite")
         newest = max(dates[t.label] for t in g.tips)
         for tip in g.tips:
             implied = newest - dates[tip.label]
@@ -378,12 +382,19 @@ def _lineage_walk(coal_times, samp_times, samp_counts):
 
 @dataclass(frozen=True)
 class IntervalGrid:
-    """Flat enumeration of the half-open inter-event intervals.
+    """Flat enumeration of the half-open inter-event intervals; every field
+    is computed once, by ``build_interval_grid``.
 
     Interval j is (starts[j], ends[j]], carries ``n_lineages[j]`` active
     lineages with pair count ``coal_factor[j]``, belongs to the
     ``event_index[j]``-th coalescent event (0-based, most recent first), and
     either ends with that coalescent event or with a sampling event.
+    ``rj_passes`` is the blockwise reversible-jump schedule.  A block is the
+    run of intervals sharing ``event_index``: the span between two coalescent
+    events, cut by sampling events.  Pass k holds the k-th live interval
+    (positive length and pair count) of every block, in time order, so each
+    block's intervals are visited in time order and no pass holds two
+    intervals of one block.
     """
 
     starts: np.ndarray
@@ -392,27 +403,14 @@ class IntervalGrid:
     coal_factor: np.ndarray
     event_index: np.ndarray
     ends_with_coal: np.ndarray
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.ends - self.starts
+    lengths: np.ndarray
+    total_hazard_weight: float  # sum over intervals of coal_factor * length
+    coal_event_times: np.ndarray
+    rj_passes: tuple[np.ndarray, ...]
 
     @property
     def n_intervals(self) -> int:
         return len(self.starts)
-
-    @property
-    def n_events(self) -> int:
-        return int(self.event_index[-1]) + 1 if len(self.event_index) else 0
-
-    @property
-    def total_hazard_weight(self) -> float:
-        """Sum over intervals of coal_factor * length."""
-        return float(np.dot(self.coal_factor, self.lengths))
-
-    @property
-    def coal_event_times(self) -> np.ndarray:
-        return self.ends[self.ends_with_coal]
 
     def interval_of(self, t: float) -> int:
         """Index of the interval containing t, with (start, end] convention."""
@@ -465,14 +463,19 @@ def extract_coalescent_data(g: Genealogy, height_atol: float = 1e-9) -> Coalesce
 
 
 def build_interval_grid(d: CoalescentData) -> IntervalGrid:
-    """Enumerate all inter-event intervals with lineage counts and factors."""
+    """Enumerate all inter-event intervals with lineage counts and factors,
+    their lengths, total hazard weight and RJ pass schedule."""
     times, is_coal, after = _lineage_walk(d.coal_times, d.samp_times, d.samp_counts)
-    active = after[:-1]
+    starts, ends, active, ends_with_coal = times[:-1], times[1:], after[:-1], is_coal[1:]
+    lengths = ends - starts
+    coal_factor = coalescent_factor(active).astype(float)
+    event_index = np.cumsum(is_coal)[:-1]
+    live = np.flatnonzero((coal_factor > 0) & (lengths > 0))
+    rank = run_rank(event_index[live])
     return IntervalGrid(
-        starts=times[:-1],
-        ends=times[1:],
-        n_lineages=active,
-        coal_factor=coalescent_factor(active).astype(float),
-        event_index=np.cumsum(is_coal)[:-1],
-        ends_with_coal=is_coal[1:],
+        starts, ends, active, coal_factor, event_index, ends_with_coal,
+        lengths=lengths,
+        total_hazard_weight=float(np.dot(coal_factor, lengths)),
+        coal_event_times=ends[ends_with_coal],
+        rj_passes=tuple(live[rank == k] for k in range(int(rank.max(initial=-1)) + 1)),
     )

@@ -81,7 +81,7 @@ def log_augmented_likelihood(field: LatentField, grid: IntervalGrid, lam: float)
     if lam <= 0:
         return -math.inf
     coal_t = field.coal_times()
-    if len(coal_t) != grid.n_events or not np.array_equal(coal_t, grid.coal_event_times):
+    if not np.array_equal(coal_t, grid.coal_event_times):
         raise ValidationError(
             "field coalescent times do not match the interval grid; an f-value "
             "is required at every coalescent event"

@@ -52,7 +52,6 @@ from .gp_prior import (
     kernel_from_json,
     kernel_to_json,
     predictive_grid_draw,
-    run_rank,
 )
 from .likelihood import LambdaPrior, lambda_log_prior, log_augmented_likelihood, log_sigmoid
 
@@ -271,22 +270,6 @@ def _accept(log_a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.log(rng.random(len(log_a))) < log_a
 
 
-def rj_passes(grid: IntervalGrid) -> list[np.ndarray]:
-    """Interval indices of the blockwise RJ passes, in pass order.
-
-    A block is the run of intervals sharing ``grid.event_index``: the span
-    between two coalescent events, cut by sampling events.  Pass k holds the
-    k-th live interval (positive length and pair count) of every block, in
-    time order, so each block's intervals are visited in time order and no
-    pass holds two intervals of one block.
-    """
-    live = np.flatnonzero((grid.coal_factor > 0) & (grid.lengths > 0))
-    if len(live) == 0:
-        return []
-    rank = run_rank(grid.event_index[live])
-    return [live[rank == k] for k in range(int(rank.max()) + 1)]
-
-
 def rj_update(
     state: ChainState,
     grid: IntervalGrid,
@@ -296,7 +279,7 @@ def rj_update(
 ) -> ChainState:
     """One add-or-remove proposal per live interval, block-parallel.
 
-    Each pass of :func:`rj_passes` makes the proposals of its intervals at
+    Each pass of ``grid.rj_passes`` makes the proposals of its intervals at
     once, as array operations on the field as it stood before the pass, and
     applies the accepted ones in one splice (the module docstring says why
     blocks may move together).  Insertions draw the location uniformly and
@@ -307,7 +290,7 @@ def rj_update(
     attempt counters include them.
     """
     kern = kernel.with_theta(state.theta)
-    for js in rj_passes(grid):
+    for js in grid.rj_passes:
         _rj_pass(state, grid, kern, rng, js, counters)
     return state
 

@@ -330,6 +330,17 @@ class TestSummarizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no draws" in err and "Traceback" not in err
 
+    def test_unallocatable_grid_exits_3(self, tmp_path, capsys):
+        # 8 PB of grid exceeds the user address space: numpy refuses it before
+        # touching any memory, whatever the overcommit setting
+        chain = self.make_chain(tmp_path)
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert run(["summarize", "--chain", chain, "--grid", 10**15, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_summary_determinism(self, tmp_path):
         chain = self.make_chain(tmp_path)
         a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -366,6 +377,25 @@ class TestExtractCommand:
         g = parse_newick(tree.read_text())
         assert parse_newick(g.to_newick()).to_newick() == g.to_newick()
         assert np.allclose(parse_newick(g.to_newick()).internal_heights(), g.internal_heights())
+
+    @pytest.mark.parametrize(
+        "newick, dates",
+        [(TREE, "A\t2000\nB\tnan\nC\t1999.5\n"), ("(A|inf:1.0,B|inf:1.0);", None)],
+    )
+    def test_non_finite_tip_date_exits_2(self, tmp_path, capsys, newick, dates):
+        tree = tmp_path / "t.nwk"
+        tree.write_text(newick)
+        out = tmp_path / "data.json"
+        argv = ["extract", "--tree", tree, "--out", out]
+        if dates is None:
+            argv += ["--date-delimiter", "|"]
+        else:
+            (tmp_path / "dates.tsv").write_text(dates)
+            argv += ["--tip-dates", tmp_path / "dates.tsv"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_extracted_json_feeds_infer(self, tmp_path):
         tree = tmp_path / "t.nwk"

@@ -1,5 +1,7 @@
 """Newick parsing, coalescent-data extraction, and interval-grid structure."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,13 @@ class TestParseNewick:
     def test_embedded_dates_inconsistent(self):
         with pytest.raises(ValidationError, match="date"):
             parse_newick("((A|1993:0.3,B|1993:0.3):0.7,C|1990:0.5);", date_delimiter="|")
+        for newick in (
+            "((A|2000:0.3,B|2000:0.3):0.7,C|inf:1.0);",
+            "((A|NaN:0.3,B|2000:0.3):0.7,C|2000:1.0);",
+            "(A|inf:1.0,B|inf:1.0);",
+        ):
+            with pytest.raises(ValidationError, match="not finite"):
+                parse_newick(newick, date_delimiter="|")
 
     def test_sidecar_dates(self):
         dates = read_tip_dates("A\t2000\nB\t2000\nC\t1999.5\n")
@@ -82,6 +91,15 @@ class TestParseNewick:
         assert len(g.tips) == 3
         with pytest.raises(ValidationError, match="date"):
             parse_newick(THREE_TIP_ISO, tip_dates=dates)
+        for newick, table in (
+            (THREE_TIP_ISO, "A\tnan\nB\t2000\nC\t2000\n"),
+            (THREE_TIP_ISO, "A\t2000\nB\t2000\nC\tinf\n"),
+            (TWO_TIP, "A\t-inf\nB\t-inf\n"),
+        ):
+            with pytest.raises(ValidationError, match="not finite"):
+                parse_newick(newick, tip_dates=read_tip_dates(table))
+        with pytest.raises(ValidationError, match="not finite"):
+            parse_newick(TWO_TIP, tip_dates={"A": 2000.0, "B": float("nan")})
 
     def test_sidecar_dates_missing_tip(self):
         with pytest.raises(ValidationError, match="missing"):
@@ -329,7 +347,13 @@ def test_array_walk_matches_event_loop(rng):
             except ValidationError:
                 pass
         grid = build_interval_grid(d)
-        for name, expected in zip(fields, _reference_grid(d)):
+        ref = _reference_grid(d)
+        for name, expected in zip(fields, ref):
             got = getattr(grid, name)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        starts, ends, _, factor, _, ends_with_coal = ref
+        assert np.array_equal(grid.lengths, ends - starts)
+        assert grid.total_hazard_weight == pytest.approx(math.fsum(factor * (ends - starts)), rel=1e-12)
+        assert np.array_equal(grid.coal_event_times, ends[ends_with_coal])
+        assert np.array_equal(grid.coal_event_times, d.coal_times)
     assert at_sampling > 20

@@ -27,7 +27,6 @@ from coalgp.mcmc import (
     location_update,
     rj_log_accept_add,
     rj_log_accept_remove,
-    rj_passes,
     rj_update,
     run_chain,
     run_prior_chain,
@@ -108,7 +107,7 @@ class TestReversibleJumpRatios:
 
 class TestRjPassSchedule:
     def check_schedule(self, grid):
-        passes = rj_passes(grid)
+        passes = grid.rj_passes
         live = np.flatnonzero((grid.coal_factor > 0) & (grid.lengths > 0))
         flat = np.concatenate(passes) if passes else np.zeros(0, dtype=int)
         # every live interval sits in exactly one pass
@@ -125,12 +124,12 @@ class TestRjPassSchedule:
 
     def test_isochronous_is_one_pass(self):
         grid = build_interval_grid(small_data())
-        assert len(rj_passes(grid)) == 1
+        assert len(grid.rj_passes) == 1
         self.check_schedule(grid)
 
     def test_serial_blocks(self):
         grid = build_interval_grid(serial_data())
-        assert len(rj_passes(grid)) == 4
+        assert len(grid.rj_passes) == 4
         self.check_schedule(grid)
 
     def test_random_heterochronous(self, rng):
