@@ -161,10 +161,10 @@ class BrownianMotionKernel(_MarkovKernel):
     init_var: float = 100.0
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValidationError("theta must be positive")
-        if self.init_var < 0:
-            raise ValidationError("init_var must be non-negative")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ValidationError("theta must be finite and positive")
+        if not (math.isfinite(self.init_var) and self.init_var >= 0):
+            raise ValidationError("init_var must be finite and non-negative")
 
     def innovation(self, t0, t1):
         """Theta-free increment law from t0 to t1: rho = 1, v = t1 - t0.
@@ -199,8 +199,8 @@ class OrnsteinUhlenbeckKernel(_MarkovKernel):
     phi: float = 1.0
 
     def __post_init__(self):
-        if self.theta <= 0 or self.phi <= 0:
-            raise ValidationError("theta and phi must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.theta, self.phi)):
+            raise ValidationError("theta and phi must be finite and positive")
 
     def innovation(self, t0, t1):
         """Theta-free increment law from t0 to t1: rho = exp(-phi*gap),

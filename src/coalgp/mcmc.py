@@ -17,14 +17,16 @@ applies the moves of the k-th interval of every block with a handful of array
 operations and one splice of the field.  The number of passes is the most
 intervals any block holds: 1 for isochronous data.
 
-The chain state is the field, theta and lambda alone.  How many latent points
-each interval holds, and where they sit in the field, is read off the field by
+The chain state is the field, theta and lambda.  How many latent points each
+interval holds, and where they sit in the field, is read off the field by
 :meth:`IntervalGrid.latent_slices` whenever a kernel or the likelihood needs
-it, so no count is kept in step by hand.  The field's times stay fixed after
-relocation, so each sweep builds one theta-free prior precision (the GP's
-innovations) at them.  The slice step's prior draw, theta's Gamma rate and the
-log posterior's prior density all read it; theta is applied as the scalar that
-divides the innovation variances.
+it, so no count is kept in step by hand.  The state also carries a tally of
+accepted and attempted moves per kernel: bookkeeping that every kernel adds
+to and none reads.  The field's times stay fixed after relocation, so each
+sweep builds one theta-free prior precision (the GP's innovations) at them.
+The slice step's prior draw, theta's Gamma rate and the log posterior's prior
+density all read it; theta is applied as the scalar that divides the
+innovation variances.
 
 :func:`run_chain` is the one sampler, each iteration one :func:`mcmc_sweep`
 of all five kernels.  The prior-recovery diagnostic :func:`run_prior_chain`
@@ -38,6 +40,7 @@ import base64
 import json
 import math
 from dataclasses import asdict, dataclass
+from dataclasses import field as dataclass_field
 
 import numpy as np
 
@@ -57,6 +60,7 @@ from .likelihood import LambdaPrior, lambda_log_prior, log_augmented_likelihood,
 
 _TWO_PI = 2.0 * math.pi
 _MAX_SLICE_SHRINKS = 10_000
+_TALLIED = ("rj_add", "rj_remove", "location", "ess", "lambda")
 
 
 @dataclass
@@ -99,11 +103,13 @@ class McmcConfig:
 class ChainState:
     """One point of the augmented-posterior chain: the field (f-values at
     the coalescent events and the latent points), theta and lambda.  Latent
-    counts per interval are derived from the field, never stored."""
+    counts per interval are derived from the field, never stored.  ``counts``
+    holds ``[accepted, attempted]`` per kernel, bookkeeping no kernel reads."""
 
     field: LatentField
     theta: float
     lam: float
+    counts: dict = dataclass_field(default_factory=lambda: {k: [0, 0] for k in _TALLIED})
 
     @classmethod
     def initial(cls, grid: IntervalGrid, kernel: GPKernel, cfg: McmcConfig) -> "ChainState":
@@ -270,13 +276,7 @@ def _accept(log_a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.log(rng.random(len(log_a))) < log_a
 
 
-def rj_update(
-    state: ChainState,
-    grid: IntervalGrid,
-    kernel: GPKernel,
-    rng: np.random.Generator,
-    counters: dict | None = None,
-) -> ChainState:
+def rj_update(state: ChainState, grid: IntervalGrid, kernel: GPKernel, rng: np.random.Generator):
     """One add-or-remove proposal per live interval, block-parallel.
 
     Each pass of ``grid.rj_passes`` makes the proposals of its intervals at
@@ -287,22 +287,20 @@ def rj_update(
     removals pick uniformly among the interval's latent points, which are
     contiguous in the field.  A location that collides with a field time,
     and a removal from an empty interval, are automatic rejects; the
-    attempt counters include them.
+    state's attempt tally includes them.
     """
     kern = kernel.with_theta(state.theta)
     for js in grid.rj_passes:
-        _rj_pass(state, grid, kern, rng, js, counters)
-    return state
+        _rj_pass(state, grid, kern, rng, js)
 
 
-def _rj_pass(state, grid, kern, rng, js, counters):
+def _rj_pass(state, grid, kern, rng, js):
     field = state.field
     first, count = grid.latent_slices(field.times)
     is_add = rng.random(len(js)) < 0.5
     add, rem = js[is_add], js[~is_add]
-    if counters is not None:
-        counters["rj_add"][1] += len(add)
-        counters["rj_remove"][1] += len(rem)
+    state.counts["rj_add"][1] += len(add)
+    state.counts["rj_remove"][1] += len(rem)
 
     x = rng.uniform(grid.starts[add], grid.ends[add])
     pos = np.searchsorted(field.times, x)
@@ -324,20 +322,13 @@ def _rj_pass(state, grid, kern, rng, js, counters):
         rng,
     )
 
-    if counters is not None:
-        counters["rj_add"][0] += int(took_add.sum())
-        counters["rj_remove"][0] += int(took_rem.sum())
+    state.counts["rj_add"][0] += int(took_add.sum())
+    state.counts["rj_remove"][0] += int(took_rem.sum())
     if took_add.any() or took_rem.any():
         field.splice(pick[took_rem], pos[took_add], x[took_add], f_star[took_add])
 
 
-def location_update(
-    state: ChainState,
-    grid: IntervalGrid,
-    kernel: GPKernel,
-    rng: np.random.Generator,
-    counters: dict | None = None,
-) -> ChainState:
+def location_update(state: ChainState, grid: IntervalGrid, kernel: GPKernel, rng: np.random.Generator):
     """Move one latent point within its interval (no-op when none exist).
 
     The interval is chosen among those holding latent points with probability
@@ -349,25 +340,22 @@ def location_update(
     first, count = grid.latent_slices(field.times)
     eligible = np.flatnonzero(count > 0)
     if len(eligible) == 0:
-        return state
+        return
     kern = kernel.with_theta(state.theta)
     weights = grid.lengths[eligible]
     j = int(eligible[rng.choice(len(eligible), p=weights / weights.sum())])
-    if counters is not None:
-        counters["location"][1] += 1
+    state.counts["location"][1] += 1
     pick = int(first[j] + rng.integers(count[j]))  # the interval's latent points are contiguous
     x_new = rng.uniform(grid.starts[j], grid.ends[j])
     pos = int(np.searchsorted(field.times, x_new))
     if pos < field.size and field.times[pos] == x_new:
-        return state
+        return
     f_new = conditional_draw_at(field, x_new, kern, rng)
     log_a = float(np.logaddexp(0.0, field.values[pick]) - np.logaddexp(0.0, f_new))
     if math.log(rng.random()) < log_a:
         field.remove(pick)
         field.insert(x_new, f_new, is_coal=False)
-        if counters is not None:
-            counters["location"][0] += 1
-    return state
+        state.counts["location"][0] += 1
 
 
 def elliptical_slice_step(f, nu, loglik, rng: np.random.Generator):
@@ -393,24 +381,17 @@ def elliptical_slice_step(f, nu, loglik, rng: np.random.Generator):
     raise McmcError("elliptical slice sampler failed to terminate")
 
 
-def ess_update(
-    state: ChainState,
-    prior: TridiagPrecision,
-    rng: np.random.Generator,
-    counters: dict | None = None,
-) -> ChainState:
+def ess_update(state: ChainState, prior: TridiagPrecision, rng: np.random.Generator):
     """One elliptical slice transition on the full f-vector."""
     field = state.field
     if field.size == 0:
-        return state
+        return
     nu = prior.scaled(state.theta).sample_zero_mean(rng)
     signs = np.where(field.is_coal, 1.0, -1.0)
     loglik = lambda v: float(np.sum(log_sigmoid(signs * v)))  # noqa: E731
     field.values = elliptical_slice_step(field.values, nu, loglik, rng)
-    if counters is not None:
-        counters["ess"][0] += 1
-        counters["ess"][1] += 1
-    return state
+    state.counts["ess"][0] += 1
+    state.counts["ess"][1] += 1
 
 
 def theta_full_conditional(field: LatentField, prior: TridiagPrecision, alpha: float, beta: float):
@@ -424,16 +405,15 @@ def gibbs_theta(
     alpha: float,
     beta: float,
     rng: np.random.Generator,
-) -> ChainState:
+):
     """Exact Gamma draw of the precision given f (conjugate full conditional)."""
     shape, rate = theta_full_conditional(state.field, prior, alpha, beta)
     if not math.isfinite(rate) or rate <= 0:
         raise McmcError(f"theta full conditional has rate {rate}", _state_dump(state))
-    theta = rng.gamma(shape, 1.0 / rate)
-    if theta <= 0:
-        raise McmcError("theta draw underflowed to 0", _state_dump(state))
-    state.theta = float(theta)
-    return state
+    theta = float(rng.gamma(shape, 1.0 / rate))
+    if not (math.isfinite(theta) and theta > 0):
+        raise McmcError(f"theta draw {theta} is not finite and positive", _state_dump(state))
+    state.theta = theta
 
 
 def lambda_log_ratio(
@@ -457,23 +437,19 @@ def mh_lambda(
     halfwidth: float,
     hazard_weight: float,
     rng: np.random.Generator,
-    counters: dict | None = None,
-) -> ChainState:
+):
     """Reflected-uniform Metropolis step on the thinning bound lambda, given
     the grid's total hazard weight (sum of interval length times pair count)."""
-    if counters is not None:
-        counters["lambda"][1] += 1
+    state.counts["lambda"][1] += 1
     prop = state.lam + rng.uniform(-halfwidth, halfwidth)
     if prop < 0:
         prop = -prop
     if prop <= 0:
-        return state
+        return
     log_ratio = lambda_log_ratio(state.lam, prop, state.field.size, hazard_weight, prior)
     if math.isfinite(log_ratio) and math.log(rng.random()) < log_ratio:
         state.lam = float(prop)
-        if counters is not None:
-            counters["lambda"][0] += 1
-    return state
+        state.counts["lambda"][0] += 1
 
 
 def mcmc_sweep(
@@ -482,18 +458,17 @@ def mcmc_sweep(
     kernel: GPKernel,
     cfg: McmcConfig,
     rng: np.random.Generator,
-    counters: dict | None = None,
 ) -> TridiagPrecision:
     """One full iteration: RJ sweep(s), relocations, slice, theta, lambda.
     Returns the theta-free prior the sweep built, for the log posterior."""
     for _ in range(cfg.rj_sweeps):
-        rj_update(state, grid, kernel, rng, counters)
+        rj_update(state, grid, kernel, rng)
     for _ in range(cfg.location_moves):
-        location_update(state, grid, kernel, rng, counters)
+        location_update(state, grid, kernel, rng)
     prior = kernel.structure_tridiag(state.field.times)
-    ess_update(state, prior, rng, counters)
+    ess_update(state, prior, rng)
     gibbs_theta(state, prior, cfg.theta_alpha, cfg.theta_beta, rng)
-    mh_lambda(state, cfg.lambda_prior, cfg.halfwidth, grid.total_hazard_weight, rng, counters)
+    mh_lambda(state, cfg.lambda_prior, cfg.halfwidth, grid.total_hazard_weight, rng)
     return prior
 
 
@@ -525,10 +500,6 @@ def _state_dump(state: ChainState, iteration: int | None = None) -> dict:
     }
 
 
-def _new_counters() -> dict:
-    return {k: [0, 0] for k in ("rj_add", "rj_remove", "location", "ess", "lambda")}
-
-
 def run_chain(
     data: CoalescentData,
     cfg: McmcConfig,
@@ -539,22 +510,22 @@ def run_chain(
 
     Each iteration is one :func:`mcmc_sweep` followed by the log posterior,
     which is stored with each retained post-burn-in draw.  A non-finite log
-    posterior, or an EvaluationError or McmcError inside the iteration,
-    aborts with an McmcError whose state dump names the iteration.  ``progress`` is an
+    posterior, or an EvaluationError, McmcError or arithmetic error (an
+    overflow) inside the iteration, aborts with an McmcError whose state dump
+    names the iteration.  ``progress`` is an
     optional callable invoked as progress(iteration, total, acceptance_dict)
     every ~5% of the run.  Prior-only diagnostics use :func:`run_prior_chain`.
     """
     grid = build_interval_grid(data)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     state = ChainState.initial(grid, kernel, cfg)
-    counters = _new_counters()
     draws: list[ChainDraw] = []
     report_every = max(1, cfg.iterations // 20)
     for it in range(cfg.iterations):
         try:
-            prior = mcmc_sweep(state, grid, kernel, cfg, rng, counters)
+            prior = mcmc_sweep(state, grid, kernel, cfg, rng)
             lp = log_augmented_posterior(state, grid, prior, cfg)
-        except (EvaluationError, McmcError) as exc:
+        except (EvaluationError, McmcError, ArithmeticError) as exc:
             raise McmcError(f"{exc} at iteration {it}", _state_dump(state, it)) from exc
         if not math.isfinite(lp):
             raise McmcError(f"non-finite log posterior at iteration {it}", _state_dump(state, it))
@@ -571,17 +542,17 @@ def run_chain(
                 )
             )
         if progress is not None and (it + 1) % report_every == 0:
-            progress(it + 1, cfg.iterations, acceptance_rates(counters))
+            progress(it + 1, cfg.iterations, acceptance_rates(state.counts))
     return ChainOutput(
         draws=draws,
-        acceptance=acceptance_rates(counters),
+        acceptance=acceptance_rates(state.counts),
         config=cfg,
         kernel=kernel,
     )
 
 
-def acceptance_rates(counters: dict) -> dict:
-    return {k: (v[0] / v[1] if v[1] else 0.0) for k, v in counters.items()}
+def acceptance_rates(counts: dict) -> dict:
+    return {k: (v[0] / v[1] if v[1] else 0.0) for k, v in counts.items()}
 
 
 def log_gamma_draw(shape: float, rng: np.random.Generator) -> float:

@@ -138,18 +138,21 @@ class _Walk:
     """Lockstep state of a batch of replicates on one sampling schedule.
 
     The arrays hold the live replicates only: batch index ``ids``, time,
-    epoch, active lineages and events done.  ``compact`` drops the finished.
+    epoch, active lineages, events done and candidate rounds since the last
+    event.  ``compact`` drops the finished.
     """
 
-    def __init__(self, samp_times, samp_counts, reps: int):
+    def __init__(self, samp_times, samp_counts, reps: int, proposal_cap: int = DEFAULT_PROPOSAL_CAP):
         self.st, self.sc = check_schedule(samp_times, samp_counts)
         self.next_time = np.append(self.st[1:], math.inf)
         self.n_events = int(self.sc.sum()) - 1
+        self.cap = proposal_cap
         self.ids = np.arange(reps)
         self.t = np.zeros(reps)
         self.epoch = np.zeros(reps, dtype=int)
         self.active = np.full(reps, self.sc[0])
         self.done = np.zeros(reps, dtype=int)
+        self.rounds = np.zeros(reps, dtype=int)
 
     def boundary(self) -> np.ndarray:
         """Each replicate's next sampling time (inf in the last epoch)."""
@@ -173,19 +176,43 @@ class _Walk:
             low = self.active < 2
         return coalescent_factor(self.active)
 
+    def step(self, e, rate, horizon) -> np.ndarray:
+        """One candidate round: the candidate of each live replicate lies
+        ``e / rate`` after its time.  A candidate past its horizon is dropped
+        and the replicate moves to the horizon, and on to the next epoch when
+        the horizon is its sampling boundary.  Every round counts against the
+        proposal cap until the replicate's next coalescent event.  Returns the
+        mask of candidates kept."""
+        self.rounds += 1
+        if self.rounds.max() > self.cap:
+            raise SimulationError(
+                f"proposal cap {self.cap} exceeded: a replicate took more than {self.cap} "
+                "candidate rounds without a coalescent event"
+            )
+        t = self.t + e / rate
+        over = t > horizon
+        self.t = np.where(over, horizon, t)
+        self.advance(over & (horizon == self.boundary()))
+        return ~over
+
     def coalesce(self, mask):
         self.active -= mask
         self.done += mask
+        self.rounds[mask] = 0
 
     def compact(self, *extra):
         """Drop finished replicates from the state and from ``extra``."""
         keep = self.done < self.n_events
         if not keep.all():
-            self.ids, self.t, self.epoch, self.active, self.done = (
-                a[keep] for a in (self.ids, self.t, self.epoch, self.active, self.done)
+            self.ids, self.t, self.epoch, self.active, self.done, self.rounds = (
+                a[keep] for a in (self.ids, self.t, self.epoch, self.active, self.done, self.rounds)
             )
             extra = tuple(a[keep] for a in extra)
         return extra
+
+    def record(self, **fields) -> SimulationRecord:
+        """A replicate's record on this walk's sampling schedule."""
+        return SimulationRecord(samp_times=self.st, samp_counts=self.sc, **fields)
 
 
 class _Draws:
@@ -244,11 +271,10 @@ def simulate_hetero_thinning(
     reps = len(rngs)
     traj = spec.traj
     window = spec.resolved_window()
-    walk = _Walk(samp_times, samp_counts, reps)
+    walk = _Walk(samp_times, samp_counts, reps, proposal_cap)
     draws = _Draws(rngs, ("standard_exponential", "random"))
     coal = np.empty((reps, walk.n_events))
     n_proposals = np.zeros(reps, dtype=int)
-    this_event = np.zeros(reps, dtype=int)
     latent = []  # per round, rows replicate, time, event index of the rejections
     while len(walk.ids):
         pairs = walk.pairs()
@@ -264,17 +290,7 @@ def simulate_hetero_thinning(
                 f"dominating level {level} on [{walk.t[j]}, {wend[j]}] is unusable; "
                 "shrink the window or supply a certified lam"
             )
-        this_event += 1
-        if this_event.max() > proposal_cap:
-            raise SimulationError(
-                f"proposal cap {proposal_cap} exceeded within one coalescent "
-                "interval; the bound is far above 1/N_e or the hazard integral converges"
-            )
-        t = walk.t + e / (pairs * lam)
-        over = t > wend
-        walk.t = np.where(over, wend, t)
-        walk.advance(over & (wend == boundary))
-        inside = ~over
+        inside = walk.step(e, pairs * lam, wend)
         n_proposals[walk.ids] += inside
         ratio = traj.inv_ne(walk.t) / lam
         violated = inside & (ratio > 1.0 + 1e-9)
@@ -291,20 +307,13 @@ def simulate_hetero_thinning(
             reject = inside & ~accept
             latent.append(np.stack((walk.ids, walk.t, walk.done))[:, reject])
         walk.coalesce(accept)
-        this_event[accept] = 0
-        (this_event,) = walk.compact(this_event)
+        walk.compact()
     groups = [[] for _ in range(reps)]
     if record_latent:
         runs = _runs(reps, *np.concatenate(latent, axis=1))
         groups = [_by_event(lt, le, walk.n_events) for lt, le in zip(*runs)]
     records = [
-        SimulationRecord(
-            samp_times=walk.st,
-            samp_counts=walk.sc,
-            coal_times=coal[r],
-            latent_by_interval=groups[r],
-            n_proposals=int(n_proposals[r]),
-        )
+        walk.record(coal_times=coal[r], latent_by_interval=groups[r], n_proposals=int(n_proposals[r]))
         for r in range(reps)
     ]
     return records if batch else records[0]
@@ -321,61 +330,49 @@ def simulate_hetero_thinning_gp(
     """Thinning simulation under the sigmoidal-GP population size.
 
     Each candidate draws its f-value from the GP conditional on all retained
-    points and is accepted with probability sigmoid(f).  Candidates before
-    the next sampling time are retained (accepted ones as coalescent events,
-    rejected ones as latent points); the first candidate at or beyond it is
+    points and is accepted with probability sigmoid(f).  Candidates up to the
+    next sampling time are retained (accepted ones as coalescent events,
+    rejected ones as latent points); the first candidate beyond it is
     discarded and restarts the clock there, so the record is one exact draw
-    of the augmented model.  ``rng`` is one Generator (one record) or a list
-    of them (one record each).
+    of the augmented model.  ``n_proposals`` counts the discarded candidates
+    too.  ``rng`` is one Generator (one record) or a list of them (one record
+    each).
     """
     if lam <= 0:
         raise ValidationError("lam must be positive")
     rngs, batch = _generators(rng)
     reps = len(rngs)
-    walk = _Walk(samp_times, samp_counts, reps)
+    walk = _Walk(samp_times, samp_counts, reps, proposal_cap)
     draws = _Draws(rngs, ("standard_exponential", "random", "standard_normal"))
     n_proposals = np.zeros(reps, dtype=int)
-    this_event = np.zeros(reps, dtype=int)
     left_t, left_f = np.full(reps, -math.inf), np.zeros(reps)  # last retained point
     kept = []  # per round, rows replicate, time, f-value, accepted, event index
     while len(walk.ids):
         pairs = walk.pairs()
         e, u, z = draws.next(walk.ids)
-        this_event += 1
-        if this_event.max() > proposal_cap:
-            raise SimulationError(
-                f"proposal cap {proposal_cap} exceeded; the GP has drifted far "
-                "negative and acceptances have effectively stopped"
-            )
         n_proposals[walk.ids] += 1
-        t = walk.t + e / (pairs * lam)
+        inside = walk.step(e, pairs * lam, walk.boundary())
+        t = walk.t  # a dropped candidate's f is drawn at the next epoch's start and discarded
         rho, v = kernel.innovation(left_t, t)
         f = rho * left_f + np.sqrt(v / kernel.theta) * z
         accept = u <= sigmoid(f)
-        inside = t < walk.boundary()
         kept.append(np.stack((walk.ids, t, f, accept, walk.done))[:, inside])
         left_t, left_f = np.where(inside, t, left_t), np.where(inside, f, left_f)
-        walk.t = t
-        walk.advance(~inside)
         event = inside & accept
         walk.coalesce(event)
-        this_event[event] = 0
-        left_t, left_f, this_event = walk.compact(left_t, left_f, this_event)
+        left_t, left_f = walk.compact(left_t, left_f)
     ids, times, values, is_coal, events = np.concatenate(kept, axis=1)
     del kept
     runs = _runs(reps, ids, times, values, is_coal.astype(bool), events)
-    records = []
-    for r, (ft, fv, fc, fe) in enumerate(zip(*runs)):
-        records.append(
-            SimulationRecord(
-                samp_times=walk.st,
-                samp_counts=walk.sc,
-                coal_times=ft[fc],
-                latent_by_interval=_by_event(ft[~fc], fe[~fc], walk.n_events),
-                gp_field=LatentField(ft, fv, fc),
-                n_proposals=int(n_proposals[r]),
-            )
+    records = [
+        walk.record(
+            coal_times=ft[fc],
+            latent_by_interval=_by_event(ft[~fc], fe[~fc], walk.n_events),
+            gp_field=LatentField(ft, fv, fc),
+            n_proposals=int(n_proposals[r]),
         )
+        for r, (ft, fv, fc, fe) in enumerate(zip(*runs))
+    ]
     return records if batch else records[0]
 
 

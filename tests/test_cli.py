@@ -157,6 +157,17 @@ class TestInferCommand:
         assert "iteration 0" in dump["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--halfwidth"])
+    def test_overflow_aborts_with_state_dump(self, tmp_path, capsys, flag):
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"coal_times": [0.4, 1.1], "samp_times": [0.0], "samp_counts": [3]}))
+        out = tmp_path / "chain.jsonl"
+        assert run(["infer", "--data", data, "--iters", 20, "--burnin", 5, flag, "1e308", "--out", out]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        dump = json.loads(out.with_suffix(".abort.json").read_text())
+        assert f"iteration {dump['state']['iteration']}" in dump["error"]
+        assert not out.exists()
+
     def test_infer_determinism(self, tmp_path):
         tree = tmp_path / "t.nwk"
         tree.write_text(TREE)
@@ -246,7 +257,9 @@ class TestSummarizeCommand:
     @pytest.mark.parametrize(
         "line, key, value",
         [(2, "theta", [1.0]), (2, "values", [0.5]), (2, "times", "reversed"),
-         (1, "kernel", {"kind": "bm", "theta": "x", "init_var": 1}), (1, "config", {"iterations": 10, "bogus": 1})],
+         (1, "kernel", {"kind": "bm", "theta": "x", "init_var": 1}), (1, "config", {"iterations": 10, "bogus": 1}),
+         (1, "kernel", {"kind": "ou", "theta": 1, "phi": float("nan")}),
+         (1, "kernel", {"kind": "bm", "theta": 1, "init_var": float("inf")})],
     )
     def test_chain_malformed_value_exits_2(self, tmp_path, capsys, line, key, value):
         chain = self.make_chain(tmp_path)
@@ -258,6 +271,7 @@ class TestSummarizeCommand:
         capsys.readouterr()
         assert run(["summarize", "--chain", chain, "--out", tmp_path / "s.csv"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_chain_non_json_line_exits_2(self, tmp_path, capsys):
         chain = self.make_chain(tmp_path)

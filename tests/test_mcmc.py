@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from coalgp.errors import ValidationError
+from coalgp.errors import McmcError, ValidationError
 from coalgp.genealogy import CoalescentData, build_interval_grid
 from coalgp.gp_prior import (
     BrownianMotionKernel,
@@ -25,6 +25,7 @@ from coalgp.mcmc import (
     gibbs_theta,
     lambda_log_ratio,
     location_update,
+    mcmc_sweep,
     rj_log_accept_add,
     rj_log_accept_remove,
     rj_update,
@@ -240,6 +241,14 @@ class TestGibbsTheta:
         gibbs_theta(state, kernel.structure_tridiag(state.field.times), 2.0, 2.0, rng)
         assert state.theta > 0
 
+    def test_infinite_draw_raises(self, rng):
+        grid = build_interval_grid(small_data())
+        kernel = BrownianMotionKernel(init_var=1.0)
+        state = ChainState.initial(grid, kernel, McmcConfig(iterations=10, burn_in=0))
+        with pytest.raises(McmcError, match="not finite"):
+            gibbs_theta(state, kernel.structure_tridiag(state.field.times), 1e308, 1e-300, rng)
+        assert state.theta == kernel.theta
+
 
 def test_gamma_log_pdf_matches_scipy():
     from scipy.special import gammaln
@@ -335,6 +344,22 @@ class TestRunChain:
         for rate in out.acceptance.values():
             assert 0.0 <= rate <= 1.0
         assert all(math.isfinite(d.log_posterior) for d in out.draws)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=["bm", "ou"])
+    def test_sweep_tally(self, rng, kernel):
+        grid = build_interval_grid(serial_data())
+        cfg = McmcConfig(iterations=10, burn_in=0, lambda_hat=3.0)
+        state = ChainState.initial(grid, kernel, cfg)
+        n = 60
+        for _ in range(n):
+            mcmc_sweep(state, grid, kernel, cfg, rng)
+        counts = state.counts
+        assert counts["lambda"][1] == n
+        assert counts["ess"] == [n, n]
+        rj_attempts = counts["rj_add"][1] + counts["rj_remove"][1]
+        assert rj_attempts == n * sum(len(p) for p in grid.rj_passes)
+        assert 0 < counts["location"][1] <= n
+        assert all(0 <= acc <= att for acc, att in counts.values())
 
     def test_hetero_single_batch_matches_iso_bitwise(self, rng):
         # acceptance-style reduction at unit-test scale

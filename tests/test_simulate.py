@@ -330,9 +330,20 @@ class TestBatchComposition:
         with pytest.raises(SimulationError, match="cap"):
             simulate_hetero_thinning([0.0], [4], spec, _gens(SEEDS), proposal_cap=3)
 
+    def test_gp_proposal_cap_counts_rounds_per_interval(self):
+        # a huge theta pins f near 0, so each candidate is accepted with
+        # probability 1/2: a cap of 1 is too small, whatever the GP does, and
+        # a cap of 20 holds although every replicate proposes more than 20
+        kernel = OrnsteinUhlenbeckKernel(theta=1e6)
+        with pytest.raises(SimulationError, match="cap 1 exceeded") as err:
+            simulate_hetero_thinning_gp([0.0], [8], kernel, 3.0, _gens(range(10)), proposal_cap=1)
+        assert "drifted" not in str(err.value)
+        recs = simulate_hetero_thinning_gp([0.0], [20], kernel, 3.0, _gens(range(10)), proposal_cap=20)
+        assert min(rec.n_proposals for rec in recs) > 20
+
 
 def test_gp_discards_at_most_one_candidate_per_sampling_time():
-    # the first candidate at or past the next sampling time moves the
+    # the first candidate past the next sampling time moves the
     # replicate there; no further candidates are drawn beyond it
     st, sc = [0.0, 0.3, 0.8], [3, 2, 2]
     kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
