@@ -45,7 +45,6 @@ from .simulate import (
 from .summarize import MetricReport, PosteriorSummary, envelope, metric_report, mrw, sre, summarize, variation
 from .trajectories import (
     BoomBustTrajectory,
-    CallableTrajectory,
     ConstantTrajectory,
     ExpGrowthTrajectory,
     Trajectory,

@@ -33,7 +33,8 @@ def require_keys(obj, keys, what: str) -> dict:
 
 
 class EvaluationError(CoalgpError):
-    """A numerical evaluation failed (singular precision, quadrature, inversion)."""
+    """A numerical evaluation failed (unordered field times, an unusable
+    dominating level, a chain with no draws)."""
 
 
 class SimulationError(CoalgpError):

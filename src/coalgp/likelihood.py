@@ -51,17 +51,14 @@ def ne_from_f(f, lam: float):
         return np.exp(np.logaddexp(0.0, np.negative(f))) / lam
 
 
-def log_coalescent_likelihood(
-    d: CoalescentData, traj: Trajectory, grid: IntervalGrid | None = None
-) -> float:
+def log_coalescent_likelihood(d: CoalescentData, traj: Trajectory) -> float:
     """Exact log density of the observed coalescent times under ``traj``.
 
     Sum over events of the log intensity at the event minus the integrated
-    intensity over the full inter-event span; integrals use the trajectory's
-    closed form where available, adaptive quadrature otherwise.
+    intensity over the full inter-event span, from the trajectory's
+    ``inv_ne_integral``.
     """
-    if grid is None:
-        grid = build_interval_grid(d)
+    grid = build_interval_grid(d)
     c = grid.coal_factor > 0
     hazard = float(np.sum(grid.coal_factor[c] * traj.inv_ne_integral(grid.starts[c], grid.ends[c])))
     ends = grid.ends[grid.ends_with_coal]

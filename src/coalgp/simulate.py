@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, SimulationError, ValidationError, require_keys
+from .errors import EvaluationError, SimulationError, ValidationError
 from .genealogy import check_schedule, coalescent_factor
 from .gp_prior import GPKernel, LatentField
 from .likelihood import sigmoid
@@ -63,10 +63,8 @@ class DeterministicSpec:
         if self.lam is not None:
             return math.inf
         w = self.window if self.window is not None else self.traj.default_window()
-        if w is None or w <= 0:
-            raise ValidationError(
-                "trajectory provides no local bound; pass a certified lam or a positive window"
-            )
+        if not w > 0:
+            raise ValidationError(f"the envelope window must be positive, got {w}")
         return w
 
 
@@ -100,29 +98,6 @@ class SimulationRecord:
             out["f_values"] = self.gp_field.values.tolist()
             out["f_is_coal"] = self.gp_field.is_coal.tolist()
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SimulationRecord":
-        """Rebuild a record; a non-object, a missing key or a malformed value
-        raises ValidationError."""
-        keys = ("samp_times", "samp_counts", "coal_times", "latent_by_interval")
-        require_keys(obj, keys, "simulation record")
-        if "f_times" in obj:
-            require_keys(obj, ("f_values", "f_is_coal"), "simulation record")
-        try:
-            gp_field = None
-            if "f_times" in obj:
-                gp_field = LatentField(obj["f_times"], obj["f_values"], obj["f_is_coal"])
-            return cls(
-                samp_times=np.asarray(obj["samp_times"], dtype=float),
-                samp_counts=np.asarray(obj["samp_counts"], dtype=int),
-                coal_times=np.asarray(obj["coal_times"], dtype=float),
-                latent_by_interval=[np.asarray(g, dtype=float) for g in obj["latent_by_interval"]],
-                gp_field=gp_field,
-                n_proposals=int(obj.get("n_proposals", 0)),
-            )
-        except (TypeError, ValueError, EvaluationError) as exc:
-            raise ValidationError(f"simulation record holds a malformed value: {exc}") from None
 
 
 def _generators(rng) -> tuple[list, bool]:
@@ -176,21 +151,32 @@ class _Walk:
             low = self.active < 2
         return coalescent_factor(self.active)
 
-    def step(self, e, rate, horizon) -> np.ndarray:
+    def step(self, e, pairs, level, horizon) -> np.ndarray:
         """One candidate round: the candidate of each live replicate lies
-        ``e / rate`` after its time.  A candidate past its horizon is dropped
-        and the replicate moves to the horizon, and on to the next epoch when
-        the horizon is its sampling boundary.  Every round counts against the
-        proposal cap until the replicate's next coalescent event.  Returns the
-        mask of candidates kept."""
+        ``e / (pairs * level)`` after its time.  A candidate past its horizon
+        (an infinite one included) is dropped and the replicate moves to the
+        horizon, and on to the next epoch when the horizon is its sampling
+        boundary.  A kept candidate that is not finite and later than its time
+        means a clock rate outside float range.  Every round counts against
+        the proposal cap until the replicate's next coalescent event.  Returns
+        the mask of candidates kept."""
         self.rounds += 1
         if self.rounds.max() > self.cap:
             raise SimulationError(
                 f"proposal cap {self.cap} exceeded: a replicate took more than {self.cap} "
                 "candidate rounds without a coalescent event"
             )
-        t = self.t + e / rate
+        with np.errstate(over="ignore"):
+            rate = pairs * level
+            t = self.t + e / rate
         over = t > horizon
+        stuck = ~over & ~((t > self.t) & np.isfinite(t))
+        if stuck.any():
+            j = int(np.argmax(stuck))
+            raise SimulationError(
+                f"the thinning clock rate {rate[j]:.6g} is outside float range: "
+                f"its candidate after t={self.t[j]:.6g} is {t[j]:.6g}"
+            )
         self.t = np.where(over, horizon, t)
         self.advance(over & (horizon == self.boundary()))
         return ~over
@@ -286,11 +272,10 @@ def simulate_hetero_thinning(
         if bad.any():
             j = int(np.argmax(np.broadcast_to(bad, wend.shape)))
             level = np.broadcast_to(lam, wend.shape)[j]
-            raise EvaluationError(
-                f"dominating level {level} on [{walk.t[j]}, {wend[j]}] is unusable; "
-                "shrink the window or supply a certified lam"
-            )
-        inside = walk.step(e, pairs * lam, wend)
+            why = ("1/N_e vanished there, so the remaining lineages never coalesce" if level == 0
+                   else "shrink the window or supply a certified lam")
+            raise EvaluationError(f"dominating level {level} on [{walk.t[j]}, {wend[j]}] is unusable; {why}")
+        inside = walk.step(e, pairs, lam, wend)
         n_proposals[walk.ids] += inside
         ratio = traj.inv_ne(walk.t) / lam
         violated = inside & (ratio > 1.0 + 1e-9)
@@ -351,7 +336,7 @@ def simulate_hetero_thinning_gp(
         pairs = walk.pairs()
         e, u, z = draws.next(walk.ids)
         n_proposals[walk.ids] += 1
-        inside = walk.step(e, pairs * lam, walk.boundary())
+        inside = walk.step(e, pairs, lam, walk.boundary())
         t = walk.t  # a dropped candidate's f is drawn at the next epoch's start and discarded
         rho, v = kernel.innovation(left_t, t)
         f = rho * left_f + np.sqrt(v / kernel.theta) * z

@@ -5,40 +5,31 @@ pieces the simulators and likelihood need: the integrated inverse trajectory
 (cumulative coalescent hazard up to a binomial factor), its inverse map, and
 local suprema of 1/N_e used to build dominating envelopes for thinning.
 
-The three named trajectories used throughout (``constant``, ``expgrowth``,
-``boombust``) carry closed forms; arbitrary callables fall back to adaptive
-quadrature and monotone bracketing.
+The three families are the scenarios of the simulation study: ``constant``,
+``expgrowth`` and ``boombust``.  Each has closed forms for all of these.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, SimulationError, ValidationError
-
-QUAD_ABS_TOL = 1e-10
-SOLVE_TIME_TOL = 1e-12
-_MAX_BRACKET_DOUBLINGS = 200
-
-
-def _elementwise(fn, *args):
-    """``fn`` of scalars mapped over its broadcast array arguments."""
-    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in args))
-    flat = [fn(*map(float, xs)) for xs in zip(*(a.flat for a in arrays))]
-    return np.asarray(flat, dtype=float).reshape(arrays[0].shape)[()]
+from .errors import SimulationError, ValidationError
 
 
 class Trajectory:
-    """Base class; subclasses must provide ``ne`` and may override the rest.
+    """Base class of the closed-form families.
 
-    ``inv_ne_integral``, ``solve_inv_ne_integral`` and ``sup_inv_ne`` work
-    elementwise on arrays (the simulators call them once per round for a
-    whole batch of replicates); the quadrature fallbacks here loop over the
-    elements.
+    Each family provides ``ne`` and ``inv_ne`` (N_e and 1/N_e at t),
+    ``inv_ne_integral(a, b)`` (the integral of 1/N_e over [a, b], 0 when
+    b <= a), ``solve_inv_ne_integral(a, target)`` (the t >= a at which that
+    integral from a reaches ``target``), ``sup_inv_ne(a, b)`` (the supremum
+    of 1/N_e over [a, b], the local thinning bound) and ``default_window()``
+    (the lookahead width of the envelope built from that bound).  All work
+    elementwise on arrays: the simulators call them once per round for a
+    whole batch of replicates.
     """
 
     def ne(self, t):
@@ -46,58 +37,6 @@ class Trajectory:
 
     def inv_ne(self, t):
         return 1.0 / self.ne(t)
-
-    def inv_ne_integral(self, a, b):
-        """Integral of 1/N_e over [a, b], to absolute tolerance 1e-10."""
-        return _elementwise(self._quad_inv_ne, a, b)
-
-    def _quad_inv_ne(self, a: float, b: float) -> float:
-        from scipy import integrate  # deferred: only CallableTrajectory gets here
-
-        if b <= a:
-            return 0.0
-        value, err = integrate.quad(self.inv_ne, a, b, epsabs=QUAD_ABS_TOL, limit=200)
-        if not np.isfinite(value) or err > max(QUAD_ABS_TOL * 10, abs(value) * 1e-8):
-            raise EvaluationError(
-                f"quadrature of 1/N_e over [{a}, {b}] did not converge (err={err:.3g})"
-            )
-        return value
-
-    def solve_inv_ne_integral(self, a, target):
-        """Smallest t >= a with integral_a^t 1/N_e = target (monotone inversion)."""
-        return _elementwise(self._solve_one, a, target)
-
-    def _solve_one(self, a: float, target: float) -> float:
-        from scipy import optimize  # deferred: only CallableTrajectory gets here
-
-        if target <= 0.0:
-            return a
-        step = 1.0
-        hi = a + step
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            if self._quad_inv_ne(a, hi) >= target:
-                break
-            step *= 2.0
-            hi = a + step
-        else:
-            raise SimulationError(
-                "cumulative hazard never reached the target; "
-                "integral of 1/N_e appears to converge"
-            )
-        return optimize.brentq(
-            lambda t: self._quad_inv_ne(a, t) - target, a, hi, xtol=SOLVE_TIME_TOL
-        )
-
-    def sup_inv_ne(self, a, b):
-        """Supremum of 1/N_e over [a, b]; used as a local thinning bound."""
-        raise EvaluationError(
-            "no local bound available for this trajectory; supply a certified "
-            "global bound instead"
-        )
-
-    def default_window(self) -> float | None:
-        """Lookahead width for piecewise-constant envelopes (None: not usable)."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -236,29 +175,6 @@ class BoomBustTrajectory(Trajectory):
 
     def default_window(self):
         return 0.5 / max(self.growth, self.decay)
-
-
-@dataclass(frozen=True)
-class CallableTrajectory(Trajectory):
-    """Wrap an arbitrary positive function of backward time.
-
-    ``bound``, when given, is a user-certified global upper bound on 1/N_e and
-    doubles as the local supremum on every window.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    bound: float | None = None
-
-    def ne(self, t):
-        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
-
-    def sup_inv_ne(self, a, b):
-        if self.bound is None:
-            return super().sup_inv_ne(a, b)
-        return self.bound
-
-    def default_window(self):
-        return math.inf if self.bound is not None else None
 
 
 def parse_trajectory(spec: str) -> Trajectory:

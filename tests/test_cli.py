@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +476,30 @@ def test_batch_proposal_cap_exits_3_and_writes_nothing(tmp_path, capsys):
     )
     assert code == 3
     assert "proposal cap" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["--traj", "constant:1", "--lambda", "1e308", "-n", 5], "thinning clock rate inf"),
+        (["--kernel", "ou", "--lambda", "1e308", "-n", 5], "thinning clock rate inf"),
+        (["--kernel", "ou", "--lambda", "1e-320", "-n", 3], "thinning clock rate"),
+        (["--traj", "constant:1", "--lambda", "1e-320", "-n", 5], "thinning clock rate"),
+        (["--traj", "expgrowth:25,-5", "--window", 1, "-n", 10], "1/N_e vanished"),
+    ],
+    ids=["rate-overflows", "gp-rate-overflows", "gp-step-overflows", "step-overflows", "inv-ne-underflows"],
+)
+def test_clock_outside_float_range_exits_3(tmp_path, capsys, argv, cause):
+    # the clock cannot advance (or 1/N_e is 0): the real cause is named,
+    # well before the proposal cap, and numpy warns of nothing
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["simulate", "--iso", *argv, "--proposal-cap", 1000, "--out", tmp_path / "x.json"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert cause in err and "proposal cap" not in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert list(tmp_path.iterdir()) == []
 
 

@@ -24,7 +24,7 @@ from coalgp.likelihood import (
     ne_from_f,
     sigmoid,
 )
-from coalgp.trajectories import CallableTrajectory, ConstantTrajectory, ExpGrowthTrajectory
+from coalgp.trajectories import ConstantTrajectory, ExpGrowthTrajectory, Trajectory
 import geweke
 from conftest import random_hetero_data
 
@@ -211,7 +211,19 @@ class TestAugmentedLikelihood:
         # likelihood under the deterministic f
         lam = 2.2
         f = lambda t: 1.1 * np.sin(3.0 * np.asarray(t)) - 0.4  # noqa: E731
-        traj = CallableTrajectory(lambda t: (1.0 + np.exp(-f(t))) / lam)
+
+        class SigmoidTrajectory(Trajectory):
+            """N_e under the sigmoidal link of the fixed f; its hazard by quadrature."""
+
+            def ne(self, t):
+                return (1.0 + np.exp(-f(t))) / lam
+
+            def inv_ne_integral(self, a, b):
+                return np.array([
+                    integrate.quad(self.inv_ne, x, y, epsabs=1e-10, limit=200)[0] for x, y in zip(a, b)
+                ])
+
+        traj = SigmoidTrajectory()
         d = CoalescentData.isochronous(coal_times)
         grid = build_interval_grid(d)
         target = math.exp(log_coalescent_likelihood(d, traj))

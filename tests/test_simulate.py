@@ -1,5 +1,6 @@
 """Thinning simulators against the time-transform oracle and closed forms."""
 
+import json
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ from scipy import stats
 from scipy.special import expit, logit
 
 from coalgp.errors import CoalgpError, SimulationError, ValidationError
+from coalgp.genealogy import CoalescentData
 from coalgp.gp_prior import BrownianMotionKernel, OrnsteinUhlenbeckKernel
 from coalgp.likelihood import sigmoid
 from coalgp.simulate import (
     DeterministicSpec,
-    SimulationRecord,
     ks_against_oracle,
     ks_statistic,
     simulate_hetero_thinning,
@@ -229,16 +230,24 @@ def test_ks_statistic_matches_scipy(rng):
 
 
 def test_record_json_round_trip(rng):
+    # a record is read back as data (``infer --data``); its GP field and
+    # latent groups are written as plain lists
     kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
     rec = simulate_hetero_thinning_gp([0.0], [5], kernel, 2.0, rng)
-    rec2 = SimulationRecord.from_json(rec.to_json())
-    assert np.array_equal(rec.coal_times, rec2.coal_times)
-    assert np.array_equal(rec.gp_field.times, rec2.gp_field.times)
-    assert np.array_equal(rec.gp_field.values, rec2.gp_field.values)
-    spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
+    obj = json.loads(json.dumps(rec.to_json()))
+    assert np.array_equal(CoalescentData.from_json(obj).coal_times, rec.coal_times)
+    assert np.array_equal(obj["f_times"], rec.gp_field.times)
+    assert np.array_equal(obj["f_values"], rec.gp_field.values)
+    assert np.array_equal(obj["f_is_coal"], rec.gp_field.is_coal)
+    spec = DeterministicSpec(ConstantTrajectory(1.0), lam=3.0)  # rejects two in three
     rec3 = simulate_hetero_thinning([0.0], [5], spec, rng, record_latent=True)
-    rec4 = SimulationRecord.from_json(rec3.to_json())
-    assert np.array_equal(latent_times(rec3), latent_times(rec4))
+    obj3 = json.loads(json.dumps(rec3.to_json()))
+    assert np.array_equal(CoalescentData.from_json(obj3).coal_times, rec3.coal_times)
+    assert "f_times" not in obj3
+    assert len(obj3["latent_by_interval"]) == len(rec3.latent_by_interval) == 4
+    for group, written in zip(rec3.latent_by_interval, obj3["latent_by_interval"]):
+        assert np.array_equal(group, written)
+    assert len(latent_times(rec3)) > 0
 
 
 def _gens(seeds):
@@ -353,17 +362,7 @@ def test_gp_discards_at_most_one_candidate_per_sampling_time():
     assert np.all(discarded <= len(st) - 1)
 
 
-def test_record_from_json_validates():
-    good = {"samp_times": [0.0], "samp_counts": [3], "coal_times": [0.2, 0.5], "latent_by_interval": [[], []]}
-    assert np.array_equal(SimulationRecord.from_json(good).coal_times, [0.2, 0.5])
-    for key in good:
-        bad = {k: v for k, v in good.items() if k != key}
-        with pytest.raises(ValidationError, match=key):
-            SimulationRecord.from_json(bad)
-    with pytest.raises(ValidationError, match="f_values"):
-        SimulationRecord.from_json({**good, "f_times": [0.2, 0.5], "f_is_coal": [True, True]})
-    with pytest.raises(ValidationError, match="malformed"):
-        SimulationRecord.from_json({**good, "coal_times": ["x", 0.5]})
-    for obj in ([1, 2], "record", None):
-        with pytest.raises(ValidationError, match="JSON object"):
-            SimulationRecord.from_json(obj)
+def test_window_must_be_positive():
+    for window in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="window must be positive"):
+            DeterministicSpec(ExpGrowthTrajectory(25.0, 5.0), window=window).resolved_window()

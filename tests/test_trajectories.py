@@ -9,7 +9,6 @@ from scipy import integrate
 from coalgp.errors import SimulationError
 from coalgp.trajectories import (
     BoomBustTrajectory,
-    CallableTrajectory,
     ConstantTrajectory,
     ExpGrowthTrajectory,
     parse_trajectory,
@@ -72,17 +71,6 @@ def test_array_forms_match_scalar_calls(traj, rng):
         assert np.broadcast_to(sup, (7,))[j] == traj.sup_inv_ne(float(a[j + 2]), float(b[j + 2]))
 
 
-def test_quadrature_fallbacks_loop_over_arrays():
-    traj = CallableTrajectory(lambda t: 2.0 + np.sin(t), bound=1.0)
-    a, b = np.array([0.0, 0.5, 1.0]), np.array([0.4, 0.5, 2.5])
-    integral = traj.inv_ne_integral(a, b)
-    assert integral.shape == (3,)
-    assert np.array_equal(integral, [traj.inv_ne_integral(x, y) for x, y in zip(a, b)])
-    t = traj.solve_inv_ne_integral(a, np.array([0.1, 0.2, 0.3]))
-    assert t.shape == (3,)
-    assert np.allclose(traj.inv_ne_integral(a, t), [0.1, 0.2, 0.3], atol=1e-9)
-
-
 def test_expgrowth_closed_form_inverse():
     # unit-exponential draw of 1 under N_e(t) = 25 exp(-5 t) from t=0
     traj = ExpGrowthTrajectory(25.0, 5.0)
@@ -108,16 +96,6 @@ def test_boombust_continuous_at_peak():
     # matches the published form exp(4t) then exp(-2t + 3)
     assert traj.ne(0.25) == pytest.approx(math.exp(1.0))
     assert traj.ne(1.0) == pytest.approx(math.exp(1.0))
-
-
-def test_generic_callable_uses_quadrature_and_bound():
-    traj = CallableTrajectory(lambda t: 2.0 + np.sin(t), bound=1.0)
-    val = traj.inv_ne_integral(0.0, 2.0)
-    expected, _ = integrate.quad(lambda t: 1.0 / (2.0 + math.sin(t)), 0.0, 2.0, epsabs=1e-12)
-    assert val == pytest.approx(expected, abs=1e-9)
-    t = traj.solve_inv_ne_integral(0.0, 0.5)
-    assert traj.inv_ne_integral(0.0, t) == pytest.approx(0.5, abs=1e-9)
-    assert traj.sup_inv_ne(0.0, 1.0) == 1.0
 
 
 def test_parse_trajectory():
