@@ -3,16 +3,16 @@
 All randomness derives from one counter-based Philox stream per invocation,
 split per replicate/chain, so identical invocations on identical inputs give
 byte-identical outputs regardless of worker scheduling.  ``simulate
---replicates`` makes one lockstep walker call for the whole batch (see
-:mod:`coalgp.simulate`); with ``--workers k`` each of k processes makes one
-call for a contiguous chunk of replicates.  Replicate r draws only from its
-own stream, so its file is the same for every batch size and worker count
-(apart from ``meta``).  Count flags (--replicates, --workers, --chains,
---proposal-cap) must be at least 1, real-valued flags finite.  Exit codes: 0
-on success, 2 for usage or input-validation problems (including unreadable or
-unwritable paths and out-of-range parameter values), 3 for runtime failures
-(proposal caps, sampler aborts, failed allocations), 130 when interrupted
-(Ctrl-C); a sampler abort writes a state dump next to the requested output.
+--replicates`` makes one lockstep walker call for the whole batch in the
+calling process (see :mod:`coalgp.simulate`); ``--workers`` sets only the
+number of processes running ``infer``'s chains.  Replicate r draws only from
+its own stream, so its file is the same for every batch size (apart from
+``meta``).  Count flags (--replicates, --workers, --chains, --proposal-cap)
+must be at least 1, real-valued flags finite.  Exit codes: 0 on success, 2
+for usage or input-validation problems (including unreadable or unwritable
+paths and out-of-range parameter values), 3 for runtime failures (proposal
+caps, sampler aborts, failed allocations), 130 when interrupted (Ctrl-C);
+each aborted chain writes a state dump next to its requested output.
 """
 
 from __future__ import annotations
@@ -85,10 +85,10 @@ def _build_kernel(args):
     return OrnsteinUhlenbeckKernel(theta=args.theta, phi=args.phi)
 
 
-def _simulate_batch(args, model, start: int, stop: int) -> list:
-    """Replicates start..stop-1 in one lockstep walker call, replicate r
-    drawing from its own stream ``_rng_for(seed, r)``."""
-    rngs = [_rng_for(args.seed, r) for r in range(start, stop)]
+def _simulate_batch(args, model) -> list:
+    """All replicates in one lockstep walker call, replicate r drawing from
+    its own stream ``_rng_for(seed, r)``."""
+    rngs = [_rng_for(args.seed, r) for r in range(args.replicates)]
     samp_times, samp_counts = ([0.0], [args.n]) if args.iso else _parse_schedule(args.schedule)
     if isinstance(model, DeterministicSpec):
         return simulate_hetero_thinning(
@@ -120,22 +120,13 @@ def cmd_simulate(args) -> int:
         model = _build_kernel(args)
     out = _out_path(args.out)
     reps = args.replicates
+    records = _simulate_batch(args, model)
     if reps == 1:
-        (record,) = _simulate_batch(args, model, 0, 1)
+        (record,) = records
         _write_json(out, {"meta": _meta(args, args.seed), **record.to_json()})
         print(f"wrote {out} ({len(record.coal_times)} coalescent times)", file=sys.stderr)
         return 0
     stem, suffix = out.with_suffix(""), out.suffix or ".json"
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        k = min(args.workers, reps)
-        cuts = [reps * c // k for c in range(k + 1)]  # k contiguous chunks
-        with ProcessPoolExecutor(max_workers=k) as pool:
-            chunks = pool.map(_simulate_batch, [args] * k, [model] * k, cuts[:-1], cuts[1:])
-            records = [record for chunk in chunks for record in chunk]
-    else:
-        records = _simulate_batch(args, model, 0, reps)
     meta = _meta(args, args.seed)
     for r, record in enumerate(records):
         _write_json(f"{stem}_{r:04d}{suffix}", {"meta": meta, "replicate": r, **record.to_json()})
@@ -173,15 +164,22 @@ def _load_data(args) -> CoalescentData:
     return extract_coalescent_data(g)
 
 
-def _run_one_chain(data: CoalescentData, cfg: McmcConfig, kernel, label: str):
+def _run_one_chain(data: CoalescentData, cfg: McmcConfig, kernel, label: str, path: Path) -> ChainOutput:
+    """Run one chain; on an abort, write its state dump next to ``path`` and
+    re-raise."""
+
     def progress(done, total, rates):
         bits = " ".join(f"{k}={v:.2f}" for k, v in rates.items())
         print(f"[{label}] iteration {done}/{total}  acceptance: {bits}", file=sys.stderr)
 
     try:
-        return "ok", run_chain(data, cfg, kernel, progress=progress)
+        return run_chain(data, cfg, kernel, progress=progress)
     except McmcError as exc:
-        return "abort", (str(exc), exc.state_dump)
+        dump_path = path.with_suffix(".abort.json")
+        with open(dump_path, "w") as fh:
+            json.dump({"error": str(exc), "state": exc.state_dump}, fh, indent=2)
+        print(f"sampler aborted; state dump at {dump_path}", file=sys.stderr)
+        raise
 
 
 def cmd_infer(args) -> int:
@@ -216,18 +214,10 @@ def cmd_infer(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_run_one_chain, [data] * n_chains, cfgs, [kernel] * n_chains, labels))
+            chains = list(pool.map(_run_one_chain, [data] * n_chains, cfgs, [kernel] * n_chains, labels, paths))
     else:
-        results = [_run_one_chain(data, cfgs[c], kernel, labels[c]) for c in range(n_chains)]
-    for path, (status, payload) in zip(paths, results):
-        if status == "abort":
-            message, dump = payload
-            dump_path = path.with_suffix(".abort.json")
-            with open(dump_path, "w") as fh:
-                json.dump({"error": message, "state": dump}, fh, indent=2)
-            print(f"sampler aborted; state dump at {dump_path}", file=sys.stderr)
-            raise McmcError(message, dump)
-    for path, (_, chain) in zip(paths, results):
+        chains = [_run_one_chain(data, cfgs[c], kernel, labels[c], paths[c]) for c in range(n_chains)]
+    for path, chain in zip(paths, chains):
         with open(path, "w") as fh:
             meta = _meta(args, args.seed)
             fh.write(json.dumps({"type": "meta", **meta, "kernel": kernel_to_json(kernel)}) + "\n")
@@ -329,7 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate rounds allowed per coalescent interval, envelope-window steps that propose nothing included",
     )
     sim.add_argument("--replicates", type=_count, default=1)
-    sim.add_argument("--workers", type=_count, default=1, help="processes, each simulating one contiguous chunk of replicates")
+    sim.add_argument(
+        "--workers", type=_count, default=1,
+        help="accepted and ignored: every replicate runs in this process (--workers sets infer's chain processes)",
+    )
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--time-unit", default="generations")
     sim.add_argument("--out", default="simulation.json")
@@ -355,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--rj-sweeps", type=int, default=1)
     inf.add_argument("--location-moves", type=int, default=1)
     inf.add_argument("--chains", type=_count, default=1)
-    inf.add_argument("--workers", type=_count, default=1)
+    inf.add_argument("--workers", type=_count, default=1, help="processes running the chains")
     inf.add_argument("--seed", type=int, default=0)
     inf.add_argument("--time-unit", default="generations")
     inf.add_argument("--out", default="chain.jsonl")

@@ -24,6 +24,8 @@ from .gp_prior import run_rank
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _LABEL_STOP = set("(),:;[]")
+DATE_ATOL = 1e-6  # a tip date may miss its branch-length height by this much
+HEIGHT_ATOL = 1e-9  # tip heights this close form one sampling event
 
 
 def coalescent_factor(k):
@@ -193,7 +195,6 @@ def parse_newick(
     text: str,
     tip_dates: dict[str, float] | None = None,
     date_delimiter: str | None = None,
-    date_atol: float = 1e-6,
 ) -> Genealogy:
     """Parse a single Newick tree into a height-normalized Genealogy.
 
@@ -201,7 +202,7 @@ def parse_newick(
     at 0.  Tip dates, when supplied (sidecar map, or embedded as
     ``label<delimiter>date``), are converted to backward times against the
     latest date and checked against the branch-length geometry to
-    ``date_atol``; disagreement raises ``ValidationError``.
+    ``DATE_ATOL``; disagreement raises ``ValidationError``.
     """
     root, i = _parse_subtree(text, 0)
     i = _skip_ws(text, i)
@@ -238,7 +239,7 @@ def parse_newick(
         newest = max(dates[t.label] for t in g.tips)
         for tip in g.tips:
             implied = newest - dates[tip.label]
-            if abs(implied - tip.height) > date_atol:
+            if abs(implied - tip.height) > DATE_ATOL:
                 raise ValidationError(
                     f"tip {tip.label!r}: date implies height {implied:.6g} but branch "
                     f"lengths give {tip.height:.6g}"
@@ -438,21 +439,21 @@ class IntervalGrid:
         return cut[:-1], np.diff(cut) - self.ends_with_coal
 
 
-def extract_coalescent_data(g: Genealogy, height_atol: float = 1e-9) -> CoalescentData:
+def extract_coalescent_data(g: Genealogy) -> CoalescentData:
     """Reduce a genealogy to coalescent times and the sampling schedule.
 
-    Tip heights within ``height_atol`` of each other collapse into a single
+    Tip heights within ``HEIGHT_ATOL`` of each other collapse into a single
     sampling event; tied internal heights are rejected rather than jittered.
     """
     coal = g.internal_heights()
-    if np.any(np.diff(coal) <= height_atol):
+    if np.any(np.diff(coal) <= HEIGHT_ATOL):
         raise ValidationError(
             "tied (or nearly tied) internal node heights; resolve the tie upstream"
         )
     tips = np.sort(g.tip_heights())
     groups: list[tuple[float, int]] = []
     for h in tips:
-        if groups and h - groups[-1][0] <= height_atol:
+        if groups and h - groups[-1][0] <= HEIGHT_ATOL:
             groups[-1] = (groups[-1][0], groups[-1][1] + 1)
         else:
             groups.append((float(h), 1))

@@ -280,13 +280,13 @@ class LatentField:
         out[j:] = arr[j + 1 :]
         return out
 
-    def insert(self, t: float, value: float, is_coal: bool = False) -> int:
+    def insert(self, t: float, value: float) -> int:
         j = int(np.searchsorted(self.times, t))
         if (j < self.size and self.times[j] == t) or (j > 0 and self.times[j - 1] == t):
             raise EvaluationError(f"time {t} already present in the field")
         self.times = self._inserted(self.times, j, t)
         self.values = self._inserted(self.values, j, value)
-        self.is_coal = self._inserted(self.is_coal, j, is_coal)
+        self.is_coal = self._inserted(self.is_coal, j, False)
         return j
 
     def remove(self, index: int):

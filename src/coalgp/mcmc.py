@@ -354,7 +354,7 @@ def location_update(state: ChainState, grid: IntervalGrid, kernel: GPKernel, rng
     log_a = float(np.logaddexp(0.0, field.values[pick]) - np.logaddexp(0.0, f_new))
     if math.log(rng.random()) < log_a:
         field.remove(pick)
-        field.insert(x_new, f_new, is_coal=False)
+        field.insert(x_new, f_new)
         state.counts["location"][0] += 1
 
 
@@ -409,10 +409,10 @@ def gibbs_theta(
     """Exact Gamma draw of the precision given f (conjugate full conditional)."""
     shape, rate = theta_full_conditional(state.field, prior, alpha, beta)
     if not math.isfinite(rate) or rate <= 0:
-        raise McmcError(f"theta full conditional has rate {rate}", _state_dump(state))
+        raise McmcError(f"theta full conditional has rate {rate}")
     theta = float(rng.gamma(shape, 1.0 / rate))
     if not (math.isfinite(theta) and theta > 0):
-        raise McmcError(f"theta draw {theta} is not finite and positive", _state_dump(state))
+        raise McmcError(f"theta draw {theta} is not finite and positive")
     state.theta = theta
 
 
@@ -523,8 +523,9 @@ def run_chain(
     report_every = max(1, cfg.iterations // 20)
     for it in range(cfg.iterations):
         try:
-            prior = mcmc_sweep(state, grid, kernel, cfg, rng)
-            lp = log_augmented_posterior(state, grid, prior, cfg)
+            with np.errstate(over="raise"):  # an overflow aborts as a FloatingPointError
+                prior = mcmc_sweep(state, grid, kernel, cfg, rng)
+                lp = log_augmented_posterior(state, grid, prior, cfg)
         except (EvaluationError, McmcError, ArithmeticError) as exc:
             raise McmcError(f"{exc} at iteration {it}", _state_dump(state, it)) from exc
         if not math.isfinite(lp):

@@ -28,7 +28,6 @@ class PosteriorSummary:
     median: np.ndarray
     lo95: np.ndarray
     hi95: np.ndarray
-    n_draws: int
     extrapolated: np.ndarray  # grid points beyond the root time
 
     def write_csv(self, fh):
@@ -103,8 +102,7 @@ def summarize(chain: ChainOutput, grid, rng: np.random.Generator) -> PosteriorSu
     np.minimum(ne, np.finfo(float).max, out=ne)
     lo, md, hi = _type7_quantiles(ne, np.array([0.025, 0.5, 0.975]))
     return PosteriorSummary(
-        grid=grid, median=md, lo95=lo, hi95=hi, n_draws=len(chain.draws),
-        extrapolated=extrapolated,
+        grid=grid, median=md, lo95=lo, hi95=hi, extrapolated=extrapolated
     )
 
 

@@ -163,11 +163,29 @@ class TestInferCommand:
         data = tmp_path / "d.json"
         data.write_text(json.dumps({"coal_times": [0.4, 1.1], "samp_times": [0.0], "samp_counts": [3]}))
         out = tmp_path / "chain.jsonl"
-        assert run(["infer", "--data", data, "--iters", 20, "--burnin", 5, flag, "1e308", "--out", out]) == 3
-        assert "Traceback" not in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["infer", "--data", data, "--iters", 20, "--burnin", 5, flag, "1e308", "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         dump = json.loads(out.with_suffix(".abort.json").read_text())
         assert f"iteration {dump['state']['iteration']}" in dump["error"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_multi_chain_abort_exits_3_with_dump(self, tmp_path, capsys, workers):
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"coal_times": [0.5, 1.0], "samp_times": [0.0], "samp_counts": [3]}))
+        out = tmp_path / "chain.jsonl"
+        code = run(["infer", "--data", data, "--iters", 20, "--burnin", 5, "--thin", 1, "--alpha", "1e308",
+                    "--chains", 2, "--workers", workers, "--out", out])
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        dump = json.loads((tmp_path / "chain_chain0.abort.json").read_text())
+        assert f"at iteration {dump['state']['iteration']}" in dump["error"]
+        assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_infer_determinism(self, tmp_path):
         tree = tmp_path / "t.nwk"

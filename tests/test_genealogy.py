@@ -130,6 +130,17 @@ class TestExtract:
             extract_coalescent_data(parse_newick("((A:0.5,B:0.5):0.5,(C:0.5,D:0.5):0.5);"))
 
 
+def test_date_and_tip_height_tolerances_at_their_edges():
+    # a tip date may miss its branch-length height by 1e-6; tip heights
+    # within 1e-9 of each other form one sampling event
+    parse_newick(THREE_TIP_HETERO, tip_dates={"A": 1.0, "B": 1.0, "C": 0.5 - 0.5e-6})
+    with pytest.raises(ValidationError, match="date implies height"):
+        parse_newick(THREE_TIP_HETERO, tip_dates={"A": 1.0, "B": 1.0, "C": 0.5 - 2e-6})
+    for gap, counts in ((0.5e-9, [3]), (2e-9, [1, 2])):
+        d = extract_coalescent_data(parse_newick(f"((A:0.3,B:0.3):0.7,C:{1.0 + gap!r});"))
+        assert list(d.samp_counts) == counts
+
+
 class TestCoalescentData:
     def test_validation_errors(self):
         with pytest.raises(ValidationError):
