@@ -11,8 +11,9 @@ its own stream, so its file is the same for every batch size (apart from
 must be at least 1, real-valued flags finite.  Exit codes: 0 on success, 2
 for usage or input-validation problems (including unreadable or unwritable
 paths and out-of-range parameter values), 3 for runtime failures (proposal
-caps, sampler aborts, failed allocations), 130 when interrupted (Ctrl-C);
-each aborted chain writes a state dump next to its requested output.
+caps and the simulators' other bounds, sampler aborts, failed allocations),
+130 when interrupted (Ctrl-C); each aborted chain writes a state dump next to
+its requested output.
 """
 
 from __future__ import annotations

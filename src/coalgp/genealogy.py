@@ -413,16 +413,6 @@ class IntervalGrid:
     def n_intervals(self) -> int:
         return len(self.starts)
 
-    def interval_of(self, t: float) -> int:
-        """Index of the interval containing t, with (start, end] convention."""
-        return int(self.interval_of_many(np.array([t], dtype=float))[0])
-
-    def interval_of_many(self, t: np.ndarray) -> np.ndarray:
-        j = np.searchsorted(self.ends, t, side="left")
-        if np.any(j >= self.n_intervals) or np.any(t <= self.starts[np.minimum(j, self.n_intervals - 1)]):
-            raise ValidationError("some times lie outside the genealogy's span")
-        return j
-
     def latent_slices(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each interval's latent points sit in a field's sorted times.
 

@@ -57,18 +57,6 @@ class TridiagPrecision:
         inv_sd = 1.0 / np.sqrt(self.var)
         return inv_sd, -self.rho[1:] * inv_sd[1:]
 
-    @property
-    def diag(self) -> np.ndarray:
-        d, s = self._cholesky()
-        out = d * d
-        out[:-1] += s * s
-        return out
-
-    @property
-    def off(self) -> np.ndarray:
-        d, s = self._cholesky()
-        return s * d[1:]
-
     def log_det(self) -> float:
         return -float(np.sum(np.log(self.var)))
 
@@ -115,12 +103,10 @@ class TridiagPrecision:
         return f
 
     def dense(self) -> np.ndarray:
-        out = np.diag(self.diag)
-        if self.size > 1:
-            idx = np.arange(self.size - 1)
-            out[idx, idx + 1] = self.off
-            out[idx + 1, idx] = self.off
-        return out
+        """The precision R^T R as a dense matrix."""
+        d, s = self._cholesky()
+        r = np.diag(d) + np.diag(s, -1)
+        return r.T @ r
 
 
 class _MarkovKernel:
@@ -186,10 +172,6 @@ class BrownianMotionKernel(_MarkovKernel):
         """Theta-free precision Q(1); the full precision is theta * Q(1)."""
         return TridiagPrecision(*self.innovation(*_steps(times)))
 
-    def covariance(self, times: np.ndarray) -> np.ndarray:
-        u = np.asarray(times, dtype=float) + self.init_var
-        return np.minimum.outer(u, u) / self.theta
-
 
 @dataclass(frozen=True)
 class OrnsteinUhlenbeckKernel(_MarkovKernel):
@@ -211,10 +193,6 @@ class OrnsteinUhlenbeckKernel(_MarkovKernel):
     def structure_tridiag(self, times: np.ndarray) -> TridiagPrecision:
         """Theta-free precision Q(1); the full precision is theta * Q(1)."""
         return TridiagPrecision(*self.innovation(*_steps(times)))
-
-    def covariance(self, times: np.ndarray) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
-        return np.exp(-self.phi * np.abs(np.subtract.outer(t, t))) / self.theta
 
 
 GPKernel = BrownianMotionKernel | OrnsteinUhlenbeckKernel

@@ -40,6 +40,13 @@ from .trajectories import Trajectory
 
 DEFAULT_PROPOSAL_CAP = 10_000_000
 BLOCK = 32  # rounds of unit draws a replicate takes from its Generator at a time
+# A replicate whose walk proposes nothing in this many envelope windows in a
+# row cannot progress; the window is too small.
+MAX_EMPTY_WINDOWS = 20_000
+# Points (events and latent) one GP thinner batch may retain.  A replicate
+# whose f sinks far below 0 accepts almost nothing and would keep every
+# candidate until memory runs out.
+MAX_BATCH_POINTS = 500_000
 
 
 @dataclass(frozen=True)
@@ -251,7 +258,9 @@ def simulate_hetero_thinning(
     Candidates are proposed from an exponential clock at the dominating level
     times the pair count, capped at the next sampling time and at the
     envelope window; acceptance probability is 1/(N_e * bound).  ``rng`` is
-    one Generator (one record) or a list of them (one record each).
+    one Generator (one record) or a list of them (one record each).  A
+    replicate that crosses more than ``MAX_EMPTY_WINDOWS`` envelope windows in
+    a row without a candidate raises SimulationError.
     """
     rngs, batch = _generators(rng)
     reps = len(rngs)
@@ -261,6 +270,7 @@ def simulate_hetero_thinning(
     draws = _Draws(rngs, ("standard_exponential", "random"))
     coal = np.empty((reps, walk.n_events))
     n_proposals = np.zeros(reps, dtype=int)
+    empty = np.zeros(reps, dtype=int)  # envelope windows in a row without a candidate
     latent = []  # per round, rows replicate, time, event index of the rejections
     while len(walk.ids):
         pairs = walk.pairs()
@@ -277,6 +287,13 @@ def simulate_hetero_thinning(
             raise EvaluationError(f"dominating level {level} on [{walk.t[j]}, {wend[j]}] is unusable; {why}")
         inside = walk.step(e, pairs, lam, wend)
         n_proposals[walk.ids] += inside
+        empty = np.where(inside | (wend == boundary), 0, empty + 1)
+        if empty.max() > MAX_EMPTY_WINDOWS:
+            j = int(np.argmax(empty))
+            raise SimulationError(
+                f"replicate {walk.ids[j]} crossed {MAX_EMPTY_WINDOWS} envelope windows in a row "
+                f"without a candidate, up to t={walk.t[j]:.6g}: the window {window:.6g} is too small"
+            )
         ratio = traj.inv_ne(walk.t) / lam
         violated = inside & (ratio > 1.0 + 1e-9)
         if violated.any():
@@ -292,7 +309,7 @@ def simulate_hetero_thinning(
             reject = inside & ~accept
             latent.append(np.stack((walk.ids, walk.t, walk.done))[:, reject])
         walk.coalesce(accept)
-        walk.compact()
+        (empty,) = walk.compact(empty)
     groups = [[] for _ in range(reps)]
     if record_latent:
         runs = _runs(reps, *np.concatenate(latent, axis=1))
@@ -321,7 +338,8 @@ def simulate_hetero_thinning_gp(
     discarded and restarts the clock there, so the record is one exact draw
     of the augmented model.  ``n_proposals`` counts the discarded candidates
     too.  ``rng`` is one Generator (one record) or a list of them (one record
-    each).
+    each).  A batch that retains more than ``MAX_BATCH_POINTS`` points raises
+    SimulationError.
     """
     if lam <= 0:
         raise ValidationError("lam must be positive")
@@ -332,6 +350,7 @@ def simulate_hetero_thinning_gp(
     n_proposals = np.zeros(reps, dtype=int)
     left_t, left_f = np.full(reps, -math.inf), np.zeros(reps)  # last retained point
     kept = []  # per round, rows replicate, time, f-value, accepted, event index
+    n_kept = 0
     while len(walk.ids):
         pairs = walk.pairs()
         e, u, z = draws.next(walk.ids)
@@ -342,6 +361,14 @@ def simulate_hetero_thinning_gp(
         f = rho * left_f + np.sqrt(v / kernel.theta) * z
         accept = u <= sigmoid(f)
         kept.append(np.stack((walk.ids, t, f, accept, walk.done))[:, inside])
+        n_kept += int(np.count_nonzero(inside))
+        if n_kept > MAX_BATCH_POINTS:
+            held = np.bincount(np.concatenate([k[0] for k in kept]).astype(int), minlength=reps)
+            j = int(np.argmax(held[walk.ids]))
+            raise SimulationError(
+                f"the batch retained more than {MAX_BATCH_POINTS} GP points: replicate "
+                f"{walk.ids[j]} holds {held[walk.ids[j]]} of them at t={walk.t[j]:.6g}"
+            )
         left_t, left_f = np.where(inside, t, left_t), np.where(inside, f, left_f)
         event = inside & accept
         walk.coalesce(event)

@@ -14,6 +14,7 @@ import pytest
 from scipy import special as sp
 
 import geweke
+from prior_chain import run_prior_chain
 from coalgp.genealogy import CoalescentData, build_interval_grid
 from coalgp.gp_prior import BrownianMotionKernel, LatentField
 from coalgp.likelihood import log_augmented_likelihood, log_coalescent_likelihood
@@ -24,7 +25,6 @@ from coalgp.mcmc import (
     rj_log_accept_add,
     rj_log_accept_remove,
     run_chain,
-    run_prior_chain,
 )
 from coalgp.simulate import (
     DeterministicSpec,

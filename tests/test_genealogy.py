@@ -224,7 +224,7 @@ class TestIntervalGrid:
             lat = np.setdiff1d(lat[lat > 0], grid.coal_event_times)
             times = np.union1d(lat, grid.coal_event_times)
             first, count = grid.latent_slices(times)
-            owner = grid.interval_of_many(lat)
+            owner = np.searchsorted(grid.ends, lat)
             assert np.array_equal(count, np.bincount(owner, minlength=grid.n_intervals))
             for j in range(grid.n_intervals):
                 assert np.array_equal(times[first[j]:first[j] + count[j]], lat[owner == j])
@@ -271,20 +271,20 @@ class TestIntervalGrid:
         assert list(grid.n_lineages) == [2, 2]  # -1 coalescence +1 sample at 0.5
 
     def test_interval_lookup(self):
+        # intervals (0, 0.3], (0.3, 0.5], (0.5, 1.0]: right-closed, so the
+        # coalescent time 0.3 belongs to the interval it closes
         d = CoalescentData([0.3, 1.0], [0.0, 0.5], [2, 1])
         grid = build_interval_grid(d)
-        assert grid.interval_of(0.1) == 0
-        assert grid.interval_of(0.3) == 0  # right-closed at the coalescent time
-        assert grid.interval_of(0.4) == 1
-        assert grid.interval_of(0.7) == 2
+        owner = np.searchsorted(grid.ends, [0.1, 0.3, 0.4, 0.7])
+        assert list(owner) == [0, 0, 1, 2]
         # pair counts by lookup: one lineage between the coalescence and the
         # second sample
-        assert grid.coal_factor[grid.interval_of(0.4)] == 0.0
-        assert grid.coal_factor[grid.interval_of(0.7)] == 1.0
-        with pytest.raises(ValidationError):
-            grid.interval_of(1.5)
-        with pytest.raises(ValidationError):
-            grid.interval_of(0.0)
+        assert list(grid.coal_factor[owner[2:]]) == [0.0, 1.0]
+        # latent_slices places the same points, less the event closing interval 0
+        first, count = grid.latent_slices(np.array([0.1, 0.3, 0.4, 0.7, 1.0]))
+        assert list(first) == [0, 2, 3] and list(count) == [1, 1, 1]
+        # times outside (0, root] belong to no interval
+        assert grid.latent_slices(np.array([0.0, 0.3, 1.0, 1.5]))[1].sum() == 0
 
 
 BAD_SCHEDULES = {

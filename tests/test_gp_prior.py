@@ -19,6 +19,7 @@ from coalgp.gp_prior import (
     kernel_to_json,
     predictive_grid_draw,
 )
+from conftest import dense_covariance
 
 
 def random_kernel(rng, kind=None):
@@ -57,7 +58,7 @@ class TestPrecision:
             times = np.sort(rng.uniform(0.0, 4.0, size=rng.integers(2, 8)))
             times += np.arange(len(times)) * 1e-3  # guard against near-ties
             q = build_precision(times, kernel)
-            cov = kernel.covariance(times)
+            cov = dense_covariance(kernel, times)
             assert np.allclose(q.dense() @ cov, np.eye(len(times)), atol=1e-10)
 
     def test_duplicate_times_rejected(self):
@@ -70,10 +71,10 @@ class TestPrecision:
             kernel = random_kernel(rng, kind)
             times = np.sort(rng.uniform(0.0 if kind == "ou" else 0.05, 6.0, size=30))
             f = rng.standard_normal(30) / math.sqrt(kernel.theta)
-            dense = multivariate_normal(mean=np.zeros(30), cov=kernel.covariance(times))
+            dense = multivariate_normal(mean=np.zeros(30), cov=dense_covariance(kernel, times))
             assert build_precision(times, kernel).log_density(f) == pytest.approx(dense.logpdf(f), abs=1e-8)
             q = build_precision(times, kernel)
-            cov_inv = np.linalg.inv(kernel.covariance(times))
+            cov_inv = np.linalg.inv(dense_covariance(kernel, times))
             assert q.quad_form(f) == pytest.approx(f @ cov_inv @ f, rel=1e-8)
             assert q.log_det() == pytest.approx(np.linalg.slogdet(cov_inv)[1], abs=1e-8)
             assert np.allclose(q.matvec(f), q.dense() @ f, atol=1e-9)
@@ -93,7 +94,7 @@ class TestPrecision:
         close = np.argsort(np.diff(times))[:5] + 1
         sub = np.unique(np.concatenate([cuts - 1, cuts, close - 1, close]))
         emp = np.cov(draws[:, sub].T)
-        cov = kernel.covariance(times[sub])
+        cov = dense_covariance(kernel, times[sub])
         assert len(cuts) >= 6
         assert np.allclose(emp, cov, atol=5 * (1.0 / kernel.theta) * math.sqrt(2.0 / n))
 
@@ -111,7 +112,8 @@ class TestPrecision:
 
     def test_tridiagonal_storage_is_linear(self):
         q = build_precision(np.arange(1.0, 1001.0), BrownianMotionKernel())
-        assert q.diag.shape == (1000,) and q.off.shape == (999,)
+        d, s = q._cholesky()
+        assert q.rho.shape == q.var.shape == d.shape == (1000,) and s.shape == (999,)
 
 
 class TestLogPriorDensity:
@@ -134,7 +136,7 @@ class TestLogPriorDensity:
             kernel = random_kernel(rng)
             times = np.sort(rng.uniform(0.1, 4.0, size=6))
             f = rng.standard_normal(6)
-            dense = multivariate_normal(mean=np.zeros(6), cov=kernel.covariance(times))
+            dense = multivariate_normal(mean=np.zeros(6), cov=dense_covariance(kernel, times))
             assert build_precision(times, kernel).log_density(f) == pytest.approx(
                 dense.logpdf(f), abs=1e-8
             )
@@ -160,7 +162,7 @@ class TestLogPriorDensity:
             f = rng.standard_normal(6)
             sub = np.sort(rng.choice(6, size=3, replace=False))
             dense = multivariate_normal(
-                mean=np.zeros(3), cov=kernel.covariance(times)[np.ix_(sub, sub)]
+                mean=np.zeros(3), cov=dense_covariance(kernel, times)[np.ix_(sub, sub)]
             )
             assert build_precision(times[sub], kernel).log_density(f[sub]) == pytest.approx(
                 dense.logpdf(f[sub]), abs=1e-8
@@ -173,7 +175,7 @@ class TestLogPriorDensity:
         f = rng.standard_normal(6)
         sub = np.array([0, 2, 5])
         comp = np.array([1, 3, 4])
-        cov = kernel.covariance(times)
+        cov = dense_covariance(kernel, times)
         mean, var = dense_conditional(cov, sub, comp, f[sub])
         cond = multivariate_normal(mean=mean, cov=var).logpdf(f[comp])
         total = build_precision(times[sub], kernel).log_density(f[sub]) + cond
@@ -218,7 +220,7 @@ class TestConditionalMoments:
             f = rng.standard_normal(4)
             cov5_times = np.sort(np.append(times, rng.uniform(0.1, 4.5)))
             t_new = float(np.setdiff1d(cov5_times, times)[0])
-            cov = kernel.covariance(cov5_times)
+            cov = dense_covariance(kernel, cov5_times)
             new_i = int(np.where(cov5_times == t_new)[0][0])
             known_i = [i for i in range(5) if i != new_i]
             mean_o, var_o = dense_conditional(cov, np.array(known_i), np.array([new_i]), f)
@@ -290,7 +292,7 @@ class TestConditionalMoments:
         for _ in range(10):
             kernel = random_kernel(rng, kind)
             t0, t1 = np.sort(rng.uniform(0.0, 4.0, size=2))
-            c = kernel.covariance([t0, t1])
+            c = dense_covariance(kernel, [t0, t1])
             rho, v = kernel.innovation(t0, t1)
             assert rho == pytest.approx(c[0, 1] / c[0, 0], rel=1e-12)
             assert v / kernel.theta == pytest.approx(c[1, 1] - c[0, 1] ** 2 / c[0, 0], rel=1e-10)
@@ -360,7 +362,7 @@ class TestJointDraws:
         n = 40_000
         draws = np.vstack([predictive_grid_draw(field, grid, kernel, rng) for _ in range(n)])
         all_times = np.array([0.5, 1.0, 1.6, 2.5, 3.1])
-        cov = kernel.covariance(all_times)
+        cov = dense_covariance(kernel, all_times)
         mean_o, var_o = dense_conditional(cov, np.array([1, 3]), np.array([0, 2, 4]), f)
         assert np.allclose(draws.mean(axis=0), mean_o, atol=4 * np.sqrt(np.diag(var_o) / n))
         emp = np.cov(draws.T)
@@ -384,7 +386,7 @@ class TestJointDraws:
         all_times = np.sort(np.r_[field_times, grid])
         known = np.searchsorted(all_times, field_times)
         new = np.searchsorted(all_times, grid)
-        mean_o, var_o = dense_conditional(kernel.covariance(all_times), known, new, f)
+        mean_o, var_o = dense_conditional(dense_covariance(kernel, all_times), known, new, f)
         assert np.allclose(b, mean_o, atol=1e-10)
         assert np.allclose(a @ a.T, var_o, atol=1e-10)
         assert np.allclose(np.tril(a), a)  # each time sees only the normals up to its own

@@ -160,6 +160,29 @@ class TestAugmentedLikelihood:
         held = LatentField([0.3, 0.4, 1.0], [0.0, 0.0, 0.0], [True, False, True])
         assert log_augmented_likelihood(held, grid, 2.0) == -math.inf
 
+    def test_sign_consistent_field_rises_to_its_f_free_bound(self, rng):
+        # the mechanism behind theta's drift toward 0: with f > 0 at every
+        # coalescent point and f < 0 at every latent point, scaling f by c
+        # lifts every sigmoid factor toward 1, so the likelihood rises toward
+        # the f-free bound -lam W + sum over all points of log(lam C), and a
+        # small theta (a large f) costs it nothing
+        for _ in range(5):
+            d = random_hetero_data(rng, max_batches=4)
+            grid = build_interval_grid(d)
+            live = grid.coal_factor > 0
+            lat = np.setdiff1d(rng.uniform(grid.starts[live], grid.ends[live]), grid.coal_event_times)
+            times = np.union1d(lat, grid.coal_event_times)
+            is_coal = np.isin(times, grid.coal_event_times)
+            f = np.where(is_coal, 1.0, -1.0) * rng.uniform(0.05, 2.0, size=len(times))
+            lam = float(rng.uniform(0.5, 5.0))
+            factors = np.concatenate([grid.coal_factor[grid.ends_with_coal],
+                                      grid.coal_factor[np.searchsorted(grid.ends, lat)]])
+            bound = -lam * grid.total_hazard_weight + float(np.sum(np.log(lam * factors)))
+            vals = np.array([log_augmented_likelihood(LatentField(times, c * f, is_coal), grid, lam)
+                             for c in (1, 2, 4, 8, 1e4)])
+            assert np.all(np.diff(vals[:-1]) > 0) and np.all(vals < bound + 1e-12)
+            assert vals[-1] == pytest.approx(bound, rel=1e-12, abs=1e-12)
+
     def test_matches_per_point_sum(self, rng):
         # the count-weighted latent term equals the sum over latent points,
         # points on sampling times belonging to the interval they close
@@ -169,7 +192,7 @@ class TestAugmentedLikelihood:
             live = grid.coal_factor > 0
             lat = rng.uniform(grid.starts[live], grid.ends[live])
             lat = np.concatenate([lat, d.samp_times[1:]])
-            lat = lat[grid.coal_factor[grid.interval_of_many(lat)] > 0]
+            lat = lat[grid.coal_factor[np.searchsorted(grid.ends, lat)] > 0]
             times = np.union1d(lat, grid.coal_event_times)
             is_coal = np.isin(times, grid.coal_event_times)
             values = rng.standard_normal(len(times))
@@ -178,7 +201,7 @@ class TestAugmentedLikelihood:
             expected += np.sum(np.log(lam * grid.coal_factor[grid.ends_with_coal]))
             expected += np.sum(log_expit(values[is_coal]))
             for t, f in zip(times[~is_coal], values[~is_coal]):
-                expected += math.log(lam * grid.coal_factor[grid.interval_of(t)]) + log_expit(-f)
+                expected += math.log(lam * grid.coal_factor[np.searchsorted(grid.ends, t)]) + log_expit(-f)
             field = LatentField(times, values, is_coal)
             assert log_augmented_likelihood(field, grid, lam) == pytest.approx(expected, rel=1e-12)
 

@@ -21,9 +21,6 @@ SRC = ROOT / "src" / "coalgp"
 
 # Public names with no caller in the program, kept on purpose.
 KEPT = {
-    "run_prior_chain",  # prior recovery (acceptance criterion 7)
-    "interval_of",  # scalar lookup against the array latent_slices
-    "covariance",  # the dense kernel matrix the GP tests check against
     "isochronous",  # CoalescentData constructor the README's library example uses
 }
 
