@@ -40,13 +40,14 @@ from .trajectories import Trajectory
 
 DEFAULT_PROPOSAL_CAP = 10_000_000
 BLOCK = 32  # rounds of unit draws a replicate takes from its Generator at a time
-# A replicate whose walk proposes nothing in this many envelope windows in a
-# row cannot progress; the window is too small.
+# Empty envelope windows in a row after which a replicate whose windows held,
+# on average, under 1/proposal_cap expected candidates is starved: at that
+# rate it would spend the whole cap before its next candidate.
 MAX_EMPTY_WINDOWS = 20_000
-# Points (events and latent) one GP thinner batch may retain.  A replicate
+# Points (events and latent) one GP thinner replicate may retain.  A replicate
 # whose f sinks far below 0 accepts almost nothing and would keep every
 # candidate until memory runs out.
-MAX_BATCH_POINTS = 500_000
+MAX_REPLICATE_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ class _Walk:
     """Lockstep state of a batch of replicates on one sampling schedule.
 
     The arrays hold the live replicates only: batch index ``ids``, time,
-    epoch, active lineages, events done and candidate rounds since the last
-    event.  ``compact`` drops the finished.
+    epoch, active lineages, events done, candidate rounds since the last
+    event, and the length and expected candidate count of the current run of
+    empty envelope windows.  ``compact`` drops the finished.
     """
 
     def __init__(self, samp_times, samp_counts, reps: int, proposal_cap: int = DEFAULT_PROPOSAL_CAP):
@@ -135,6 +137,8 @@ class _Walk:
         self.active = np.full(reps, self.sc[0])
         self.done = np.zeros(reps, dtype=int)
         self.rounds = np.zeros(reps, dtype=int)
+        self.empty = np.zeros(reps, dtype=int)
+        self.mass = np.zeros(reps)
 
     def boundary(self) -> np.ndarray:
         """Each replicate's next sampling time (inf in the last epoch)."""
@@ -165,8 +169,10 @@ class _Walk:
         horizon, and on to the next epoch when the horizon is its sampling
         boundary.  A kept candidate that is not finite and later than its time
         means a clock rate outside float range.  Every round counts against
-        the proposal cap until the replicate's next coalescent event.  Returns
-        the mask of candidates kept."""
+        the proposal cap until the replicate's next coalescent event.  A run
+        of more than ``MAX_EMPTY_WINDOWS`` empty windows short of the boundary
+        whose expected candidate count is below one per ``cap`` windows means
+        the window starves the walk.  Returns the mask of candidates kept."""
         self.rounds += 1
         if self.rounds.max() > self.cap:
             raise SimulationError(
@@ -184,8 +190,20 @@ class _Walk:
                 f"the thinning clock rate {rate[j]:.6g} is outside float range: "
                 f"its candidate after t={self.t[j]:.6g} is {t[j]:.6g}"
             )
+        boundary = self.boundary()
+        empty = over & (horizon < boundary)
+        self.empty = np.where(empty, self.empty + 1, 0)
+        self.mass = np.where(empty, self.mass + rate * (horizon - self.t), 0.0)
+        starved = (self.empty > MAX_EMPTY_WINDOWS) & (self.mass * self.cap < self.empty)
+        if starved.any():
+            j = int(np.argmax(starved))
+            raise SimulationError(
+                f"replicate {self.ids[j]} crossed {self.empty[j]} envelope windows in a row without a "
+                f"candidate, up to t={horizon[j]:.6g}, at {self.mass[j] / self.empty[j]:.3g} expected "
+                f"candidates a window: the window is too small to reach one within {self.cap} rounds"
+            )
         self.t = np.where(over, horizon, t)
-        self.advance(over & (horizon == self.boundary()))
+        self.advance(over & (horizon == boundary))
         return ~over
 
     def coalesce(self, mask):
@@ -197,9 +215,8 @@ class _Walk:
         """Drop finished replicates from the state and from ``extra``."""
         keep = self.done < self.n_events
         if not keep.all():
-            self.ids, self.t, self.epoch, self.active, self.done, self.rounds = (
-                a[keep] for a in (self.ids, self.t, self.epoch, self.active, self.done, self.rounds)
-            )
+            for name in ("ids", "t", "epoch", "active", "done", "rounds", "empty", "mass"):
+                setattr(self, name, getattr(self, name)[keep])
             extra = tuple(a[keep] for a in extra)
         return extra
 
@@ -259,8 +276,8 @@ def simulate_hetero_thinning(
     times the pair count, capped at the next sampling time and at the
     envelope window; acceptance probability is 1/(N_e * bound).  ``rng`` is
     one Generator (one record) or a list of them (one record each).  A
-    replicate that crosses more than ``MAX_EMPTY_WINDOWS`` envelope windows in
-    a row without a candidate raises SimulationError.
+    window too small for a replicate to reach its next candidate within
+    ``proposal_cap`` rounds raises SimulationError (see ``_Walk.step``).
     """
     rngs, batch = _generators(rng)
     reps = len(rngs)
@@ -270,7 +287,6 @@ def simulate_hetero_thinning(
     draws = _Draws(rngs, ("standard_exponential", "random"))
     coal = np.empty((reps, walk.n_events))
     n_proposals = np.zeros(reps, dtype=int)
-    empty = np.zeros(reps, dtype=int)  # envelope windows in a row without a candidate
     latent = []  # per round, rows replicate, time, event index of the rejections
     while len(walk.ids):
         pairs = walk.pairs()
@@ -287,13 +303,6 @@ def simulate_hetero_thinning(
             raise EvaluationError(f"dominating level {level} on [{walk.t[j]}, {wend[j]}] is unusable; {why}")
         inside = walk.step(e, pairs, lam, wend)
         n_proposals[walk.ids] += inside
-        empty = np.where(inside | (wend == boundary), 0, empty + 1)
-        if empty.max() > MAX_EMPTY_WINDOWS:
-            j = int(np.argmax(empty))
-            raise SimulationError(
-                f"replicate {walk.ids[j]} crossed {MAX_EMPTY_WINDOWS} envelope windows in a row "
-                f"without a candidate, up to t={walk.t[j]:.6g}: the window {window:.6g} is too small"
-            )
         ratio = traj.inv_ne(walk.t) / lam
         violated = inside & (ratio > 1.0 + 1e-9)
         if violated.any():
@@ -309,7 +318,7 @@ def simulate_hetero_thinning(
             reject = inside & ~accept
             latent.append(np.stack((walk.ids, walk.t, walk.done))[:, reject])
         walk.coalesce(accept)
-        (empty,) = walk.compact(empty)
+        walk.compact()
     groups = [[] for _ in range(reps)]
     if record_latent:
         runs = _runs(reps, *np.concatenate(latent, axis=1))
@@ -338,8 +347,8 @@ def simulate_hetero_thinning_gp(
     discarded and restarts the clock there, so the record is one exact draw
     of the augmented model.  ``n_proposals`` counts the discarded candidates
     too.  ``rng`` is one Generator (one record) or a list of them (one record
-    each).  A batch that retains more than ``MAX_BATCH_POINTS`` points raises
-    SimulationError.
+    each).  A replicate that retains more than ``MAX_REPLICATE_POINTS`` points
+    raises SimulationError.
     """
     if lam <= 0:
         raise ValidationError("lam must be positive")
@@ -350,7 +359,7 @@ def simulate_hetero_thinning_gp(
     n_proposals = np.zeros(reps, dtype=int)
     left_t, left_f = np.full(reps, -math.inf), np.zeros(reps)  # last retained point
     kept = []  # per round, rows replicate, time, f-value, accepted, event index
-    n_kept = 0
+    held = np.zeros(reps, dtype=int)  # points each replicate retains
     while len(walk.ids):
         pairs = walk.pairs()
         e, u, z = draws.next(walk.ids)
@@ -361,13 +370,12 @@ def simulate_hetero_thinning_gp(
         f = rho * left_f + np.sqrt(v / kernel.theta) * z
         accept = u <= sigmoid(f)
         kept.append(np.stack((walk.ids, t, f, accept, walk.done))[:, inside])
-        n_kept += int(np.count_nonzero(inside))
-        if n_kept > MAX_BATCH_POINTS:
-            held = np.bincount(np.concatenate([k[0] for k in kept]).astype(int), minlength=reps)
+        held[walk.ids] += inside
+        if held[walk.ids].max() > MAX_REPLICATE_POINTS:
             j = int(np.argmax(held[walk.ids]))
             raise SimulationError(
-                f"the batch retained more than {MAX_BATCH_POINTS} GP points: replicate "
-                f"{walk.ids[j]} holds {held[walk.ids[j]]} of them at t={walk.t[j]:.6g}"
+                f"replicate {walk.ids[j]} retained more than {MAX_REPLICATE_POINTS} GP points, "
+                f"up to t={walk.t[j]:.6g}"
             )
         left_t, left_f = np.where(inside, t, left_t), np.where(inside, f, left_f)
         event = inside & accept

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coalgp import simulate
 from coalgp.cli import main
 from coalgp.genealogy import parse_newick
 
@@ -523,32 +522,46 @@ def test_clock_outside_float_range_exits_3(tmp_path, capsys, argv, cause):
 
 
 @pytest.mark.parametrize(
-    "argv, point_cap, cause",
+    "argv, cause",
     [
-        (["--iso", "-n", 10, "--traj", "boombust:1,1,1", "--window", "1e-300"], None,
-         "replicate 0 crossed 20000 envelope windows in a row without a candidate, up to t="),
+        (["--iso", "-n", 10, "--traj", "boombust:1,1,1", "--window", "1e-300"],
+         "replicate 0 crossed 20001 envelope windows in a row without a candidate, up to t="),
         (["--schedule", "0:6,0.3:4,0.9:5", "--kernel", "bm", "--theta", 2, "--lambda", 4,
-          "--replicates", 20, "--seed", 11], 20_000,
-         "the batch retained more than 20000 GP points: replicate "),
+          "--replicates", 20, "--seed", 11],
+         "replicate 4 retained more than 100000 GP points, up to t="),
     ],
     ids=["tiny-window", "gp-sunken-f"],
 )
-def test_simulate_runaway_ends_at_its_bound(tmp_path, capsys, monkeypatch, argv, point_cap, cause):
+def test_simulate_runaway_ends_at_its_bound(tmp_path, capsys, argv, cause):
     # under default flags each run once went on for hours: every round moved
     # the walk by 1e-300, or some replicates' Brownian f sank so low that they
-    # kept almost every candidate.  Each now ends at its own bound (the GP
-    # batch cap lowered so it is reached within seconds), far short of the
-    # proposal cap, with one line that names the replicate and the time.
-    if point_cap is not None:
-        monkeypatch.setattr(simulate, "MAX_BATCH_POINTS", point_cap)
+    # kept almost every candidate.  Each now ends at its own bound, far short
+    # of the proposal cap, with one line that names the replicate and the time.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run(["simulate", *argv, "--out", tmp_path / "x.json"])
     assert code == 3
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"runtime error: {cause}") and " t=" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith(f"runtime error: {cause}")
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, reps",
+    [
+        # the last pair's window holds a candidate with probability
+        # 1 - exp(-1e-4): empty runs average 1e4 windows, and some replicate
+        # of the batch passes 20000 of them
+        (["--iso", "-n", 10, "--traj", "constant:10", "--window", 0.001], 20),
+        # the batch retains about 590000 GP points, no replicate more than 15000
+        (["--iso", "-n", 1000, "--kernel", "ou", "--theta", 2, "--lambda", 5], 250),
+    ],
+    ids=["long-empty-run", "large-gp-batch"],
+)
+def test_simulate_bounds_pass_valid_batches(tmp_path, argv, reps):
+    assert run(["simulate", *argv, "--replicates", reps, "--out", tmp_path / "x.json"]) == 0
+    assert len(list(tmp_path.glob("x_0*.json"))) == reps
 
 
 @pytest.mark.parametrize(

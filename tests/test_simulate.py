@@ -12,6 +12,7 @@ from coalgp.errors import CoalgpError, SimulationError, ValidationError
 from coalgp.genealogy import CoalescentData
 from coalgp.gp_prior import BrownianMotionKernel, OrnsteinUhlenbeckKernel
 from coalgp.likelihood import sigmoid
+from coalgp import simulate
 from coalgp.simulate import (
     DeterministicSpec,
     ks_against_oracle,
@@ -349,6 +350,23 @@ class TestBatchComposition:
         assert "drifted" not in str(err.value)
         recs = simulate_hetero_thinning_gp([0.0], [20], kernel, 3.0, _gens(range(10)), proposal_cap=20)
         assert min(rec.n_proposals for rec in recs) > 20
+
+    def test_gp_point_cap_counts_each_replicate(self, monkeypatch):
+        # a cap at the largest replicate's point count holds although the
+        # batch together retains more; one point less stops the
+        # batch at a replicate that holds that many
+        st, sc = SCHEDULES[1]
+        kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
+        recs = simulate_hetero_thinning_gp(st, sc, kernel, 3.0, _gens(SEEDS))
+        held = [len(rec.gp_field.times) for rec in recs]
+        assert sum(held) > max(held)
+        monkeypatch.setattr(simulate, "MAX_REPLICATE_POINTS", max(held))
+        for rec, again in zip(recs, simulate_hetero_thinning_gp(st, sc, kernel, 3.0, _gens(SEEDS))):
+            _assert_same_record(rec, again)
+        monkeypatch.setattr(simulate, "MAX_REPLICATE_POINTS", max(held) - 1)
+        with pytest.raises(SimulationError, match=f"retained more than {max(held) - 1} GP points") as err:
+            simulate_hetero_thinning_gp(st, sc, kernel, 3.0, _gens(SEEDS))
+        assert held[int(str(err.value).split()[1])] == max(held)
 
 
 def test_gp_discards_at_most_one_candidate_per_sampling_time():
