@@ -123,13 +123,8 @@ class ChainDraw:
     iteration: int
     theta: float
     lam: float
-    times: np.ndarray
-    values: np.ndarray
-    is_coal: np.ndarray
+    field: LatentField
     log_posterior: float
-
-    def to_field(self) -> LatentField:
-        return LatentField(self.times, self.values, self.is_coal)
 
     def to_json(self) -> dict:
         """JSON record of the draw; the field arrays go as base64 of their
@@ -138,10 +133,10 @@ class ChainDraw:
             "iteration": self.iteration,
             "theta": self.theta,
             "lambda": self.lam,
-            "n_latent": int(np.sum(~self.is_coal)),
-            "times": _encode_array(self.times, _F8),
-            "values": _encode_array(self.values, _F8),
-            "is_coal": _encode_array(self.is_coal, _U1),
+            "n_latent": int(np.sum(~self.field.is_coal)),
+            "times": _encode_array(self.field.times, _F8),
+            "values": _encode_array(self.field.values, _F8),
+            "is_coal": _encode_array(self.field.is_coal, _U1),
             "log_posterior": self.log_posterior,
         }
 
@@ -174,7 +169,7 @@ class ChainDraw:
             raise ValidationError("chain draw key 'is_coal' must hold only 0 and 1")
         if not np.any(is_coal):
             raise ValidationError("chain draw holds no coalescent point")
-        return cls(iteration, theta, lam, times, values, is_coal.astype(bool), log_posterior)
+        return cls(iteration, theta, lam, LatentField(times, values, is_coal), log_posterior)
 
 
 _F8, _U1 = np.dtype("<f8"), np.dtype("u1")
@@ -485,7 +480,7 @@ def log_augmented_posterior(
     return lp + log_augmented_likelihood(state.field, grid, state.lam)
 
 
-def _state_dump(state: ChainState, iteration: int | None = None) -> dict:
+def _state_dump(state: ChainState, iteration: int) -> dict:
     vals = state.field.values
     return {
         "iteration": iteration,
@@ -534,9 +529,7 @@ def run_chain(
                     iteration=it,
                     theta=state.theta,
                     lam=state.lam,
-                    times=state.field.times.copy(),
-                    values=state.field.values.copy(),
-                    is_coal=state.field.is_coal.copy(),
+                    field=LatentField(state.field.times, state.field.values, state.field.is_coal),
                     log_posterior=lp,
                 )
             )

@@ -18,11 +18,16 @@ sampling time.
 
 Every sampler walks a batch of replicates in lockstep: the replicate is the
 array axis, and each round moves every live replicate by one candidate (the
-oracle: by one event or one epoch).  Only the thinners take a list of
-Generators: one record per Generator, each replicate drawing only from its
-own Generator in blocks of ``BLOCK`` rounds, so its record does not depend on
-which other replicates share its batch; one Generator gives one record, run
-as a batch of one.  The oracle takes one Generator for the whole matrix.
+oracle: by one event or one epoch).  The thinners take a list of Generators
+and return one record per Generator, each replicate drawing only from its own
+Generator in blocks of ``BLOCK`` rounds, so its record does not depend on
+which other replicates share its batch.  The oracle takes one Generator for
+the whole matrix.
+
+Runaways end in SimulationError.  The GP thinner's bound counts candidate
+rounds per coalescent interval (``MAX_INTERVAL_ROUNDS``), so it does not grow
+with the number of tips.  A certified level over a 1/N_e that is 0 from the
+current time on raises EvaluationError, as a dominating level of 0 does.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ BLOCK = 32  # rounds of unit draws a replicate takes from its Generator at a tim
 # on average, under 1/proposal_cap expected candidates is starved: at that
 # rate it would spend the whole cap before its next candidate.
 MAX_EMPTY_WINDOWS = 20_000
-# Points (events and latent) one GP thinner replicate may retain.  A replicate
-# whose f sinks far below 0 accepts almost nothing and would keep every
-# candidate until memory runs out.
-MAX_REPLICATE_POINTS = 100_000
+# Candidate rounds one GP thinner replicate may take in one coalescent
+# interval.  A replicate whose f sinks far below 0 accepts almost nothing and
+# would keep every candidate until memory runs out.
+MAX_INTERVAL_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ class SimulationRecord:
 
     ``latent_by_interval`` groups thinned candidate times by the coalescent
     event that closed them (ascending); empty for runs that do not record
-    rejections.  ``field`` holds f-values at coalescent and latent times for
+    rejections.  ``gp_field`` holds f-values at coalescent and latent times for
     GP runs, None otherwise.
     """
 
@@ -106,15 +111,6 @@ class SimulationRecord:
             out["f_values"] = self.gp_field.values.tolist()
             out["f_is_coal"] = self.gp_field.is_coal.tolist()
         return out
-
-
-def _generators(rng) -> tuple[list, bool]:
-    """The batch's Generators, and whether the caller passed a list of them."""
-    if not isinstance(rng, (list, tuple)):
-        return [rng], False
-    if not rng:
-        raise EvaluationError("a batch needs at least one Generator")
-    return list(rng), True
 
 
 class _Walk:
@@ -234,6 +230,8 @@ class _Draws:
     """
 
     def __init__(self, rngs: list, kinds: tuple[str, ...]):
+        if not rngs:
+            raise EvaluationError("a batch needs at least one Generator")
         self.rngs, self.kinds = rngs, kinds
         self.blocks = [np.empty((len(rngs), BLOCK)) for _ in kinds]
         self.col = BLOCK
@@ -266,20 +264,21 @@ def simulate_hetero_thinning(
     samp_times,
     samp_counts,
     spec: DeterministicSpec,
-    rng,
+    rngs: list,
     record_latent: bool = False,
     proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-):
+) -> list[SimulationRecord]:
     """Thinning simulation of serially sampled coalescent times.
 
     Candidates are proposed from an exponential clock at the dominating level
     times the pair count, capped at the next sampling time and at the
-    envelope window; acceptance probability is 1/(N_e * bound).  ``rng`` is
-    one Generator (one record) or a list of them (one record each).  A
-    window too small for a replicate to reach its next candidate within
-    ``proposal_cap`` rounds raises SimulationError (see ``_Walk.step``).
+    envelope window; acceptance probability is 1/(N_e * bound).  Returns one
+    record per Generator in ``rngs``.  A window too small for a replicate to
+    reach its next candidate within ``proposal_cap`` rounds raises
+    SimulationError (see ``_Walk.step``).  A dominating level of 0, or a
+    certified level where 1/N_e is 0 on all of [t, inf), raises
+    EvaluationError: the remaining lineages never coalesce.
     """
-    rngs, batch = _generators(rng)
     reps = len(rngs)
     traj = spec.traj
     window = spec.resolved_window()
@@ -293,12 +292,13 @@ def simulate_hetero_thinning(
         e, u = draws.next(walk.ids)
         boundary = walk.boundary()
         wend = np.minimum(walk.t + window, boundary)
-        lam = spec.lam if spec.lam is not None else traj.sup_inv_ne(walk.t, wend)
-        bad = ~(np.isfinite(lam) & (lam > 0))
+        top = traj.sup_inv_ne(walk.t, wend if spec.lam is None else math.inf)  # a certified lam: all of [t, inf)
+        lam = top if spec.lam is None else spec.lam
+        bad = np.broadcast_to((top == 0) | ~(np.isfinite(lam) & (lam > 0)), wend.shape)
         if bad.any():
-            j = int(np.argmax(np.broadcast_to(bad, wend.shape)))
-            level = np.broadcast_to(lam, wend.shape)[j]
-            why = ("1/N_e vanished there, so the remaining lineages never coalesce" if level == 0
+            j = int(np.argmax(bad))
+            level, top = np.broadcast_to(lam, wend.shape)[j], np.broadcast_to(top, wend.shape)[j]
+            why = ("1/N_e vanished there, so the remaining lineages never coalesce" if top == 0
                    else "shrink the window or supply a certified lam")
             raise EvaluationError(f"dominating level {level} on [{walk.t[j]}, {wend[j]}] is unusable; {why}")
         inside = walk.step(e, pairs, lam, wend)
@@ -323,11 +323,10 @@ def simulate_hetero_thinning(
     if record_latent:
         runs = _runs(reps, *np.concatenate(latent, axis=1))
         groups = [_by_event(lt, le, walk.n_events) for lt, le in zip(*runs)]
-    records = [
+    return [
         walk.record(coal_times=coal[r], latent_by_interval=groups[r], n_proposals=int(n_proposals[r]))
         for r in range(reps)
     ]
-    return records if batch else records[0]
 
 
 def simulate_hetero_thinning_gp(
@@ -335,9 +334,9 @@ def simulate_hetero_thinning_gp(
     samp_counts,
     kernel: GPKernel,
     lam: float,
-    rng,
+    rngs: list,
     proposal_cap: int = DEFAULT_PROPOSAL_CAP,
-):
+) -> list[SimulationRecord]:
     """Thinning simulation under the sigmoidal-GP population size.
 
     Each candidate draws its f-value from the GP conditional on all retained
@@ -346,20 +345,18 @@ def simulate_hetero_thinning_gp(
     rejected ones as latent points); the first candidate beyond it is
     discarded and restarts the clock there, so the record is one exact draw
     of the augmented model.  ``n_proposals`` counts the discarded candidates
-    too.  ``rng`` is one Generator (one record) or a list of them (one record
-    each).  A replicate that retains more than ``MAX_REPLICATE_POINTS`` points
-    raises SimulationError.
+    too.  Returns one record per Generator in ``rngs``.  A replicate that
+    takes more than ``MAX_INTERVAL_ROUNDS`` candidate rounds in one coalescent
+    interval raises SimulationError.
     """
     if lam <= 0:
         raise ValidationError("lam must be positive")
-    rngs, batch = _generators(rng)
     reps = len(rngs)
     walk = _Walk(samp_times, samp_counts, reps, proposal_cap)
     draws = _Draws(rngs, ("standard_exponential", "random", "standard_normal"))
     n_proposals = np.zeros(reps, dtype=int)
     left_t, left_f = np.full(reps, -math.inf), np.zeros(reps)  # last retained point
     kept = []  # per round, rows replicate, time, f-value, accepted, event index
-    held = np.zeros(reps, dtype=int)  # points each replicate retains
     while len(walk.ids):
         pairs = walk.pairs()
         e, u, z = draws.next(walk.ids)
@@ -370,13 +367,10 @@ def simulate_hetero_thinning_gp(
         f = rho * left_f + np.sqrt(v / kernel.theta) * z
         accept = u <= sigmoid(f)
         kept.append(np.stack((walk.ids, t, f, accept, walk.done))[:, inside])
-        held[walk.ids] += inside
-        if held[walk.ids].max() > MAX_REPLICATE_POINTS:
-            j = int(np.argmax(held[walk.ids]))
-            raise SimulationError(
-                f"replicate {walk.ids[j]} retained more than {MAX_REPLICATE_POINTS} GP points, "
-                f"up to t={walk.t[j]:.6g}"
-            )
+        if walk.rounds.max() > MAX_INTERVAL_ROUNDS:
+            j = int(np.argmax(walk.rounds))
+            raise SimulationError(f"replicate {walk.ids[j]} took more than {MAX_INTERVAL_ROUNDS} GP candidate "
+                                  f"rounds in one coalescent interval, up to t={walk.t[j]:.6g}")
         left_t, left_f = np.where(inside, t, left_t), np.where(inside, f, left_f)
         event = inside & accept
         walk.coalesce(event)
@@ -384,7 +378,7 @@ def simulate_hetero_thinning_gp(
     ids, times, values, is_coal, events = np.concatenate(kept, axis=1)
     del kept
     runs = _runs(reps, ids, times, values, is_coal.astype(bool), events)
-    records = [
+    return [
         walk.record(
             coal_times=ft[fc],
             latent_by_interval=_by_event(ft[~fc], fe[~fc], walk.n_events),
@@ -393,17 +387,23 @@ def simulate_hetero_thinning_gp(
         )
         for r, (ft, fv, fc, fe) in enumerate(zip(*runs))
     ]
-    return records if batch else records[0]
 
 
-def _invert_hazard(traj: Trajectory, walk: _Walk, unit: np.ndarray) -> np.ndarray:
-    """Trace each replicate's unit exponentials (one row of ``unit`` per
-    replicate, one per event) through its piecewise cumulative hazard.
+def simulate_time_transform(
+    traj: Trajectory, rng: np.random.Generator, samp_times, samp_counts, replicates: int
+) -> np.ndarray:
+    """Exact simulation by inverting the cumulative hazard (the oracle).
 
-    A round moves every live replicate either across its next sampling time,
-    when the epoch's integrated hazard is below what is left of the current
-    draw, or to its next coalescent event by inverting the remainder.
+    Returns a (replicates, n - 1) matrix of event times.  One Generator feeds
+    the whole matrix: the unit exponentials are drawn one event column (that
+    event across all replicates) at a time, in event order, and each row is
+    traced through the piecewise intensity.  A round moves every live
+    replicate either across its next sampling time, when the epoch's
+    integrated hazard is below what is left of the current draw, or to its
+    next coalescent event by inverting the remainder in closed form.
     """
+    walk = _Walk(samp_times, samp_counts, replicates)
+    unit = np.column_stack([rng.exponential(size=replicates) for _ in range(walk.n_events)])
     out = np.empty_like(unit)
     e = unit[:, 0].copy()
     while len(walk.ids):
@@ -425,23 +425,6 @@ def _invert_hazard(traj: Trajectory, walk: _Walk, unit: np.ndarray) -> np.ndarra
         e[hit] = unit[ids, np.minimum(done + 1, walk.n_events - 1)]  # finished rows drop out
         (e,) = walk.compact(e)
     return out
-
-
-def simulate_time_transform(
-    traj: Trajectory, rng: np.random.Generator, samp_times, samp_counts, replicates: int
-) -> np.ndarray:
-    """Exact simulation by inverting the cumulative hazard (the oracle).
-
-    Returns a (replicates, n - 1) matrix of event times.  One Generator feeds
-    the whole matrix: the unit exponentials are drawn one event column (that
-    event across all replicates) at a time, in event order, and each row is
-    traced through the piecewise intensity: epochs between sampling times
-    consume their integrated hazard, the remainder is inverted analytically
-    or by monotone bracketing.
-    """
-    walk = _Walk(samp_times, samp_counts, replicates)
-    unit = np.column_stack([rng.exponential(size=replicates) for _ in range(walk.n_events)])
-    return _invert_hazard(traj, walk, unit)
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

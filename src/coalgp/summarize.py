@@ -58,11 +58,11 @@ class MetricReport:
         fh.write("\n")
 
 
-def default_grid(chain: ChainOutput, size: int = 150) -> np.ndarray:
+def default_grid(chain: ChainOutput, size: int) -> np.ndarray:
     """Equally spaced grid from 0 to the root time, ``size`` points."""
     if not chain.draws:
         raise EvaluationError("chain holds no draws")
-    tmrca = float(chain.draws[0].times[chain.draws[0].is_coal].max())
+    tmrca = float(chain.draws[0].field.times[chain.draws[0].field.is_coal].max())
     return np.linspace(0.0, tmrca, size)
 
 
@@ -77,7 +77,7 @@ def summarize(chain: ChainOutput, grid, rng: np.random.Generator) -> PosteriorSu
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be a non-empty strictly increasing vector")
-    tmrca = float(chain.draws[0].times[chain.draws[0].is_coal].max())
+    tmrca = float(chain.draws[0].field.times[chain.draws[0].field.is_coal].max())
     extrapolated = grid > tmrca
     if np.any(extrapolated):
         warnings.warn(
@@ -94,8 +94,7 @@ def summarize(chain: ChainOutput, grid, rng: np.random.Generator) -> PosteriorSu
         sub = np.random.Generator(
             np.random.Philox(seed=np.random.SeedSequence(master, spawn_key=(draw.iteration,)))
         )
-        field = draw.to_field()
-        fg = predictive_grid_draw(field, grid, kernel.with_theta(draw.theta), sub)
+        fg = predictive_grid_draw(draw.field, grid, kernel.with_theta(draw.theta), sub)
         ne[i] = ne_from_f(fg, draw.lam)
     # deep-negative f draws overflow N_e past float range; cap them so the
     # quantile interpolation stays finite and monotone

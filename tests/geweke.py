@@ -30,7 +30,7 @@ def sample_lambda_prior(prior: LambdaPrior, rng: np.random.Generator) -> float:
 def _draw_joint(samp_times, samp_counts, kernel, cfg, rng):
     theta = rng.gamma(cfg.theta_alpha, 1.0 / cfg.theta_beta)
     lam = sample_lambda_prior(cfg.lambda_prior, rng)
-    rec = simulate_hetero_thinning_gp(samp_times, samp_counts, kernel.with_theta(theta), lam, rng)
+    rec = simulate_hetero_thinning_gp(samp_times, samp_counts, kernel.with_theta(theta), lam, [rng])[0]
     return theta, lam, rec
 
 
@@ -68,8 +68,8 @@ def successive_conditional(
             mh_lambda(state, cfg.lambda_prior, cfg.halfwidth, grid.total_hazard_weight, rng)
         theta, lam = state.theta, state.lam
         rec = simulate_hetero_thinning_gp(
-            samp_times, samp_counts, kernel.with_theta(theta), lam, rng
-        )
+            samp_times, samp_counts, kernel.with_theta(theta), lam, [rng]
+        )[0]
         out[s] = _stats(theta, lam, rec)
     return out
 

@@ -57,7 +57,7 @@ def test_criterion_1_simulator_oracle_equivalence():
         rng = np.random.Generator(np.random.Philox(101))
         thinned = np.empty((reps, n - 1))
         for r in range(reps):
-            thinned[r] = simulate_hetero_thinning([0.0], [n], spec, rng).coal_times
+            thinned[r] = simulate_hetero_thinning([0.0], [n], spec, [rng])[0].coal_times
         oracle = simulate_time_transform(spec.traj, rng, [0.0], [n], 100_000)
         ks = ks_against_oracle(thinned, oracle)
         worst = max(worst, float(ks.max()))
@@ -75,7 +75,7 @@ def test_criterion_2_pairwise_survival_curve():
     spec = DeterministicSpec(ExpGrowthTrajectory(25.0, 5.0))
     rng = np.random.Generator(np.random.Philox(202))
     reps = 10_000
-    draws = np.array([simulate_hetero_thinning([0.0], [2], spec, rng).coal_times[0] for r in range(reps)])
+    draws = np.array([simulate_hetero_thinning([0.0], [2], spec, [rng])[0].coal_times[0] for r in range(reps)])
     worst_z, details = 0.0, []
     for t in (0.2, 0.5, 0.9):
         p = math.exp(-(math.exp(5.0 * t) - 1.0) / 125.0)
@@ -234,18 +234,18 @@ def test_criterion_8_heterochronous_reduction():
         ok &= log_coalescent_likelihood(iso_data, traj) == log_coalescent_likelihood(het_data, traj)
 
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.5)
-        det_a = simulate_hetero_thinning([0.0], [n], spec, np.random.Generator(np.random.Philox(seed)))
+        det_a = simulate_hetero_thinning([0.0], [n], spec, [np.random.Generator(np.random.Philox(seed))])[0]
         det_b = simulate_hetero_thinning(
-            [0.0], [n], spec, np.random.Generator(np.random.Philox(seed))
-        )
+            [0.0], [n], spec, [np.random.Generator(np.random.Philox(seed))]
+        )[0]
         ok &= np.array_equal(det_a.coal_times, det_b.coal_times)
 
         gp_a = simulate_hetero_thinning_gp(
-            [0.0], [n], kernel, 2.0, np.random.Generator(np.random.Philox(seed))
-        )
+            [0.0], [n], kernel, 2.0, [np.random.Generator(np.random.Philox(seed))]
+        )[0]
         gp_b = simulate_hetero_thinning_gp(
-            [0.0], [n], kernel, 2.0, np.random.Generator(np.random.Philox(seed))
-        )
+            [0.0], [n], kernel, 2.0, [np.random.Generator(np.random.Philox(seed))]
+        )[0]
         ok &= np.array_equal(gp_a.coal_times, gp_b.coal_times)
         ok &= np.array_equal(gp_a.gp_field.values, gp_b.gp_field.values)
         grid_a = build_interval_grid(CoalescentData(gp_a.coal_times, [0.0], [n]))
@@ -260,8 +260,8 @@ def test_criterion_8_heterochronous_reduction():
             ok &= (
                 da.theta == db.theta
                 and da.lam == db.lam
-                and np.array_equal(da.times, db.times)
-                and np.array_equal(da.values, db.values)
+                and np.array_equal(da.field.times, db.field.times)
+                and np.array_equal(da.field.values, db.field.values)
             )
     report("8 heterochronous reduction", bool(ok), "5 instances bit-identical across code paths")
 

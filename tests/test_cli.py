@@ -528,15 +528,18 @@ def test_clock_outside_float_range_exits_3(tmp_path, capsys, argv, cause):
          "replicate 0 crossed 20001 envelope windows in a row without a candidate, up to t="),
         (["--schedule", "0:6,0.3:4,0.9:5", "--kernel", "bm", "--theta", 2, "--lambda", 4,
           "--replicates", 20, "--seed", 11],
-         "replicate 4 retained more than 100000 GP points, up to t="),
+         "replicate 7 took more than 100000 GP candidate rounds in one coalescent interval, up to t="),
+        (["--iso", "-n", 3, "--traj", "expgrowth:1,-2", "--lambda", 1, "--replicates", 4, "--seed", 1],
+         "dominating level 1.0 on [373.4378998677619, inf] is unusable; 1/N_e vanished there"),
     ],
-    ids=["tiny-window", "gp-sunken-f"],
+    ids=["tiny-window", "gp-sunken-f", "certified-hazard-vanishes"],
 )
 def test_simulate_runaway_ends_at_its_bound(tmp_path, capsys, argv, cause):
-    # under default flags each run once went on for hours: every round moved
-    # the walk by 1e-300, or some replicates' Brownian f sank so low that they
-    # kept almost every candidate.  Each now ends at its own bound, far short
-    # of the proposal cap, with one line that names the replicate and the time.
+    # under default flags each run once went on for minutes or hours: every
+    # round moved the walk by 1e-300, some replicates' Brownian f sank so low
+    # that they kept almost every candidate, or a certified level went on
+    # proposing under a 1/N_e that had underflowed to 0.  Each now ends far
+    # short of the proposal cap, with one line that names the time.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run(["simulate", *argv, "--out", tmp_path / "x.json"])
@@ -562,6 +565,15 @@ def test_simulate_runaway_ends_at_its_bound(tmp_path, capsys, argv, cause):
 def test_simulate_bounds_pass_valid_batches(tmp_path, argv, reps):
     assert run(["simulate", *argv, "--replicates", reps, "--out", tmp_path / "x.json"]) == 0
     assert len(list(tmp_path.glob("x_0*.json"))) == reps
+
+
+@pytest.mark.slow
+def test_simulate_gp_bound_does_not_grow_with_tips(tmp_path):
+    # 50000 tips retain about 150000 GP points, more than the bound, but no
+    # coalescent interval takes more than a few candidate rounds
+    argv = ["--iso", "-n", 50000, "--kernel", "ou", "--theta", 2, "--lambda", 5, "--seed", 1]
+    assert run(["simulate", *argv, "--out", tmp_path / "x.json"]) == 0
+    assert len(json.loads((tmp_path / "x.json").read_text())["f_times"]) > 100_000
 
 
 @pytest.mark.parametrize(

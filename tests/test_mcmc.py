@@ -333,8 +333,8 @@ class TestRunChain:
         assert len(a.draws) == len(b.draws)
         for da, db in zip(a.draws, b.draws):
             assert da.theta == db.theta and da.lam == db.lam
-            assert np.array_equal(da.times, db.times)
-            assert np.array_equal(da.values, db.values)
+            assert np.array_equal(da.field.times, db.field.times)
+            assert np.array_equal(da.field.values, db.field.values)
             assert da.log_posterior == db.log_posterior
 
     def test_acceptance_rates_in_unit_interval(self):
@@ -372,7 +372,7 @@ class TestRunChain:
             a, b = run_chain(iso, cfg, kernel), run_chain(hetero, cfg, kernel)
             for da, db in zip(a.draws, b.draws):
                 assert da.theta == db.theta and da.lam == db.lam
-                assert np.array_equal(da.values, db.values)
+                assert np.array_equal(da.field.values, db.field.values)
 
     @pytest.mark.parametrize("data", [small_data(), serial_data()], ids=["iso", "serial"])
     @pytest.mark.parametrize("kernel", KERNELS, ids=["bm", "ou"])
@@ -392,10 +392,10 @@ class TestRunChain:
         grid = build_interval_grid(data)
         for d in run_chain(data, cfg, kernel).draws:
             assert d.log_posterior == (
-                build_precision(d.times, kernel.with_theta(d.theta)).log_density(d.values)
+                build_precision(d.field.times, kernel.with_theta(d.theta)).log_density(d.field.values)
                 + gamma_log_pdf(d.theta, cfg.theta_alpha, cfg.theta_beta)
                 + lambda_log_prior(d.lam, cfg.lambda_prior)
-                + log_augmented_likelihood(d.to_field(), grid, d.lam)
+                + log_augmented_likelihood(d.field, grid, d.lam)
             )
 
     def test_default_kernel_on_coalescences_1e15_apart(self):
@@ -406,7 +406,7 @@ class TestRunChain:
         out = run_chain(data, cfg, BrownianMotionKernel())
         assert len(out.draws) == 40
         for d in out.draws:
-            assert math.isfinite(d.log_posterior) and np.all(np.isfinite(d.values))
+            assert math.isfinite(d.log_posterior) and np.all(np.isfinite(d.field.values))
 
     def test_jsonl_round_trip(self, tmp_path):
         data = small_data()
@@ -422,7 +422,7 @@ class TestRunChain:
         assert len(back.draws) == len(out.draws)
         assert back.kernel == out.kernel
         assert back.draws[-1].theta == out.draws[-1].theta
-        assert np.array_equal(back.draws[-1].values, out.draws[-1].values)
+        assert np.array_equal(back.draws[-1].field.values, out.draws[-1].field.values)
 
 
 def edge_draw():
@@ -430,17 +430,15 @@ def edge_draw():
         iteration=7,
         theta=0.3,
         lam=2.5,
-        times=np.array([5e-324, 0.25, 1.0, 1e308]),
-        values=np.array([-0.0, 5e-324, 1e308, -1e308]),
-        is_coal=np.array([False, True, False, True]),
+        field=LatentField([5e-324, 0.25, 1.0, 1e308], [-0.0, 5e-324, 1e308, -1e308], [False, True, False, True]),
         log_posterior=-12.5,
     )
 
 
 def decimal_record(draw):
     """The draw's record in the decimal-list layout chain files had before."""
-    return {**draw.to_json(), "times": draw.times.tolist(), "values": draw.values.tolist(),
-            "is_coal": draw.is_coal.astype(int).tolist()}
+    return {**draw.to_json(), "times": draw.field.times.tolist(), "values": draw.field.values.tolist(),
+            "is_coal": draw.field.is_coal.astype(int).tolist()}
 
 
 class TestChainDrawRecord:
@@ -450,23 +448,23 @@ class TestChainDrawRecord:
         assert all(isinstance(obj[k], str) for k in ("times", "values", "is_coal"))
         back = ChainDraw.from_json(obj)
         for key in ("times", "values"):
-            assert getattr(back, key).tobytes() == getattr(draw, key).tobytes()
-        assert back.is_coal.dtype == bool and np.array_equal(back.is_coal, draw.is_coal)
+            assert getattr(back.field, key).tobytes() == getattr(draw.field, key).tobytes()
+        assert back.field.is_coal.dtype == bool and np.array_equal(back.field.is_coal, draw.field.is_coal)
         assert (back.iteration, back.theta, back.lam, back.log_posterior) == (7, 0.3, 2.5, -12.5)
 
     def test_documented_numpy_decode(self):
         obj = edge_draw().to_json()
         values = np.frombuffer(base64.b64decode(obj["values"]), dtype="<f8")
         is_coal = np.frombuffer(base64.b64decode(obj["is_coal"]), dtype="u1").astype(bool)
-        assert values.tobytes() == edge_draw().values.tobytes()
-        assert np.array_equal(is_coal, edge_draw().is_coal)
+        assert values.tobytes() == edge_draw().field.values.tobytes()
+        assert np.array_equal(is_coal, edge_draw().field.is_coal)
 
     def test_decimal_lists_still_read_bit_exact(self):
         draw = edge_draw()
         back = ChainDraw.from_json(json.loads(json.dumps(decimal_record(draw))))
         for key in ("times", "values"):
-            assert getattr(back, key).tobytes() == getattr(draw, key).tobytes()
-        assert back.is_coal.dtype == bool and np.array_equal(back.is_coal, draw.is_coal)
+            assert getattr(back.field, key).tobytes() == getattr(draw.field, key).tobytes()
+        assert back.field.is_coal.dtype == bool and np.array_equal(back.field.is_coal, draw.field.is_coal)
 
     @pytest.mark.parametrize(
         "key, value",

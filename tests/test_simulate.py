@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 from scipy.special import expit, logit
 
-from coalgp.errors import CoalgpError, SimulationError, ValidationError
+from coalgp.errors import CoalgpError, EvaluationError, SimulationError, ValidationError
 from coalgp.genealogy import CoalescentData
 from coalgp.gp_prior import BrownianMotionKernel, OrnsteinUhlenbeckKernel
 from coalgp.likelihood import sigmoid
@@ -66,19 +66,19 @@ class TestTimeTransform:
 class TestIsoThinning:
     def test_tight_bound_accepts_first_proposal(self, rng):
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
-        rec = simulate_hetero_thinning([0.0], [2], spec, rng)
+        rec = simulate_hetero_thinning([0.0], [2], spec, [rng])[0]
         assert rec.n_proposals == 1
         assert len(rec.coal_times) == 1
 
     def test_pair_time_is_unit_exponential(self, rng):
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
-        draws = np.array([simulate_hetero_thinning([0.0], [2], spec, rng).coal_times[0] for _ in range(4000)])
+        draws = np.array([simulate_hetero_thinning([0.0], [2], spec, [rng])[0].coal_times[0] for _ in range(4000)])
         assert stats.kstest(draws, "expon").statistic < 0.03
 
     def test_kingman_interval_rates(self, rng):
         # constant size 1 with a tight bound: gaps are Exponential(binom(k, 2))
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
-        mat = np.array([simulate_hetero_thinning([0.0], [10], spec, rng).coal_times for _ in range(3000)])
+        mat = np.array([simulate_hetero_thinning([0.0], [10], spec, [rng])[0].coal_times for _ in range(3000)])
         gaps = np.diff(np.concatenate([np.zeros((3000, 1)), mat], axis=1), axis=1)
         for j, k in enumerate(range(10, 1, -1)):
             rate = k * (k - 1) / 2
@@ -89,28 +89,28 @@ class TestIsoThinning:
         # an inflated bound changes efficiency, not the law
         tight = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
         loose = DeterministicSpec(ConstantTrajectory(1.0), lam=7.0)
-        a = np.array([simulate_hetero_thinning([0.0], [6], tight, rng).coal_times for _ in range(2500)])
-        b = np.array([simulate_hetero_thinning([0.0], [6], loose, rng).coal_times for _ in range(2500)])
+        a = np.array([simulate_hetero_thinning([0.0], [6], tight, [rng])[0].coal_times for _ in range(2500)])
+        b = np.array([simulate_hetero_thinning([0.0], [6], loose, [rng])[0].coal_times for _ in range(2500)])
         assert np.max(ks_against_oracle(a, b)) < 0.05
 
     def test_windowed_envelope_matches_oracle(self, rng):
         # exponential growth has unbounded 1/N_e: only the local envelope works
         traj = ExpGrowthTrajectory(25.0, 5.0)
         spec = DeterministicSpec(traj)
-        thinned = np.array([simulate_hetero_thinning([0.0], [10], spec, rng).coal_times for _ in range(2500)])
+        thinned = np.array([simulate_hetero_thinning([0.0], [10], spec, [rng])[0].coal_times for _ in range(2500)])
         oracle = simulate_time_transform(traj, rng, [0.0], [10], 25_000)
         assert np.max(ks_against_oracle(thinned, oracle)) < 0.045
 
     def test_proposal_cap_raises(self, rng):
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1e6)
         with pytest.raises(SimulationError, match="cap"):
-            simulate_hetero_thinning([0.0], [2], spec, rng, proposal_cap=500)
+            simulate_hetero_thinning([0.0], [2], spec, [rng], proposal_cap=500)
 
     def test_bound_violation_detected(self, rng):
         # lam certifies 1/N_e <= 0.5 but the trajectory dips below N_e = 2
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=0.5)
         with pytest.raises(SimulationError, match="bound violated"):
-            simulate_hetero_thinning([0.0], [4], spec, rng)
+            simulate_hetero_thinning([0.0], [4], spec, [rng])
 
     def test_latent_points_form_thinned_poisson(self, rng):
         # constant case: rejected points are Poisson with rate C*lam*(1 - 1/(N_e*lam))
@@ -118,7 +118,7 @@ class TestIsoThinning:
         spec = DeterministicSpec(ConstantTrajectory(c), lam=lam)
         counts, expected = [], []
         for _ in range(2000):
-            rec = simulate_hetero_thinning([0.0], [2], spec, rng, record_latent=True)
+            rec = simulate_hetero_thinning([0.0], [2], spec, [rng], record_latent=True)[0]
             counts.append(len(rec.latent_by_interval[0]))
             expected.append(lam * (1 - 1 / (c * lam)) * rec.coal_times[0])
         total, exp_total = np.sum(counts), np.sum(expected)
@@ -138,7 +138,7 @@ class TestHeteroThinning:
         reps = 4000
         none_before = 0
         for _ in range(reps):
-            rec = simulate_hetero_thinning([0.0, 0.5], [2, 1], spec, rng)
+            rec = simulate_hetero_thinning([0.0, 0.5], [2, 1], spec, [rng])[0]
             none_before += rec.coal_times[0] > 0.5
         p = math.exp(-0.5)
         se = math.sqrt(p * (1 - p) / reps)
@@ -149,7 +149,7 @@ class TestHeteroThinning:
         spec = DeterministicSpec(traj, lam=1.25)
         st, sc = [0.0, 0.4, 0.9], [3, 2, 2]
         thinned = np.array(
-            [simulate_hetero_thinning(st, sc, spec, rng).coal_times for _ in range(2500)]
+            [simulate_hetero_thinning(st, sc, spec, [rng])[0].coal_times for _ in range(2500)]
         )
         oracle = np.array(
             [simulate_time_transform(traj, rng, st, sc, 1)[0] for _ in range(2500)]
@@ -160,13 +160,13 @@ class TestHeteroThinning:
         # a schedule that can never coalesce fails fast at validation
         spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
         with pytest.raises(CoalgpError):
-            simulate_hetero_thinning([0.0], [1], spec, rng)
+            simulate_hetero_thinning([0.0], [1], spec, [rng])
 
 
 class TestGpThinning:
     def test_record_structure(self, rng):
         kernel = BrownianMotionKernel(theta=2.0, init_var=1.0)
-        rec = simulate_hetero_thinning_gp([0.0], [8], kernel, 3.0, rng)
+        rec = simulate_hetero_thinning_gp([0.0], [8], kernel, 3.0, [rng])[0]
         assert len(rec.coal_times) == 7
         assert np.all(np.diff(rec.coal_times) > 0)
         fld = rec.gp_field
@@ -182,7 +182,7 @@ class TestGpThinning:
         lam = 2.0
         kernel = OrnsteinUhlenbeckKernel(theta=1e8, phi=1.0)
         draws = np.array(
-            [simulate_hetero_thinning_gp([0.0], [2], kernel, lam, rng).coal_times[0] for _ in range(3000)]
+            [simulate_hetero_thinning_gp([0.0], [2], kernel, lam, [rng])[0].coal_times[0] for _ in range(3000)]
         )
         assert stats.kstest(draws, "expon", args=(0.0, 2.0 / lam)).statistic < 0.035
 
@@ -195,7 +195,7 @@ class TestGpThinning:
 
     def test_hetero_gp_runs_and_respects_epochs(self, rng):
         kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
-        rec = simulate_hetero_thinning_gp([0.0, 0.3, 0.8], [3, 2, 2], kernel, 3.0, rng)
+        rec = simulate_hetero_thinning_gp([0.0, 0.3, 0.8], [3, 2, 2], kernel, 3.0, [rng])[0]
         assert len(rec.coal_times) == 6
         # latent points recorded only inside epochs, never beyond the root
         assert np.all(latent_times(rec) < rec.coal_times[-1])
@@ -208,7 +208,7 @@ class TestSurvivalCurve:
         traj = ExpGrowthTrajectory(25.0, 5.0)
         spec = DeterministicSpec(traj)
         reps = 4000
-        draws = np.array([simulate_hetero_thinning([0.0], [2], spec, rng).coal_times[0] for _ in range(reps)])
+        draws = np.array([simulate_hetero_thinning([0.0], [2], spec, [rng])[0].coal_times[0] for _ in range(reps)])
         for t in (0.15, 0.3, 0.5, 0.7, 0.9):
             p = math.exp(-(math.exp(5 * t) - 1) / 125.0)
             se = math.sqrt(p * (1 - p) / reps)
@@ -234,14 +234,14 @@ def test_record_json_round_trip(rng):
     # a record is read back as data (``infer --data``); its GP field and
     # latent groups are written as plain lists
     kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
-    rec = simulate_hetero_thinning_gp([0.0], [5], kernel, 2.0, rng)
+    rec = simulate_hetero_thinning_gp([0.0], [5], kernel, 2.0, [rng])[0]
     obj = json.loads(json.dumps(rec.to_json()))
     assert np.array_equal(CoalescentData.from_json(obj).coal_times, rec.coal_times)
     assert np.array_equal(obj["f_times"], rec.gp_field.times)
     assert np.array_equal(obj["f_values"], rec.gp_field.values)
     assert np.array_equal(obj["f_is_coal"], rec.gp_field.is_coal)
     spec = DeterministicSpec(ConstantTrajectory(1.0), lam=3.0)  # rejects two in three
-    rec3 = simulate_hetero_thinning([0.0], [5], spec, rng, record_latent=True)
+    rec3 = simulate_hetero_thinning([0.0], [5], spec, [rng], record_latent=True)[0]
     obj3 = json.loads(json.dumps(rec3.to_json()))
     assert np.array_equal(CoalescentData.from_json(obj3).coal_times, rec3.coal_times)
     assert "f_times" not in obj3
@@ -293,7 +293,7 @@ class TestBatchComposition:
         assert len(batch) == len(SEEDS) and len(part) == 4
         for r, seed in enumerate(SEEDS):
             (gen,) = _gens([seed])
-            single = simulate_hetero_thinning(st, sc, spec, gen, record_latent=record_latent)
+            single = simulate_hetero_thinning(st, sc, spec, [gen], record_latent=record_latent)[0]
             _assert_same_record(batch[r], single)
             assert len(single.latent_by_interval) == (sum(sc) - 1 if record_latent else 0)
         for r in range(4):
@@ -311,7 +311,7 @@ class TestBatchComposition:
         part = simulate_hetero_thinning_gp(st, sc, kernel, 3.0, _gens(SEEDS[7:]))
         for r, seed in enumerate(SEEDS):
             (gen,) = _gens([seed])
-            _assert_same_record(batch[r], simulate_hetero_thinning_gp(st, sc, kernel, 3.0, gen))
+            _assert_same_record(batch[r], simulate_hetero_thinning_gp(st, sc, kernel, 3.0, [gen])[0])
         for r, rec in enumerate(part):
             _assert_same_record(rec, batch[7 + r])
 
@@ -351,22 +351,30 @@ class TestBatchComposition:
         recs = simulate_hetero_thinning_gp([0.0], [20], kernel, 3.0, _gens(range(10)), proposal_cap=20)
         assert min(rec.n_proposals for rec in recs) > 20
 
-    def test_gp_point_cap_counts_each_replicate(self, monkeypatch):
-        # a cap at the largest replicate's point count holds although the
-        # batch together retains more; one point less stops the
-        # batch at a replicate that holds that many
-        st, sc = SCHEDULES[1]
+    def test_gp_round_bound_counts_each_interval(self, monkeypatch):
+        # on one sampling time an interval takes its latent group's size plus
+        # 1 rounds: a bound at the largest such count holds although
+        # replicates retain more points than that, and one round less stops
+        # the batch at the replicate that takes that many
+        st, sc = SCHEDULES[0]
         kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
         recs = simulate_hetero_thinning_gp(st, sc, kernel, 3.0, _gens(SEEDS))
-        held = [len(rec.gp_field.times) for rec in recs]
-        assert sum(held) > max(held)
-        monkeypatch.setattr(simulate, "MAX_REPLICATE_POINTS", max(held))
+        rounds = [max(len(g) + 1 for g in rec.latent_by_interval) for rec in recs]
+        assert max(len(rec.gp_field.times) for rec in recs) > max(rounds)
+        monkeypatch.setattr(simulate, "MAX_INTERVAL_ROUNDS", max(rounds))
         for rec, again in zip(recs, simulate_hetero_thinning_gp(st, sc, kernel, 3.0, _gens(SEEDS))):
             _assert_same_record(rec, again)
-        monkeypatch.setattr(simulate, "MAX_REPLICATE_POINTS", max(held) - 1)
-        with pytest.raises(SimulationError, match=f"retained more than {max(held) - 1} GP points") as err:
+        monkeypatch.setattr(simulate, "MAX_INTERVAL_ROUNDS", max(rounds) - 1)
+        with pytest.raises(SimulationError, match=f"more than {max(rounds) - 1} GP candidate rounds") as err:
             simulate_hetero_thinning_gp(st, sc, kernel, 3.0, _gens(SEEDS))
-        assert held[int(str(err.value).split()[1])] == max(held)
+        assert rounds[int(str(err.value).split()[1])] == max(rounds)
+
+    def test_empty_batch_raises(self):
+        spec = DeterministicSpec(ConstantTrajectory(1.0), lam=1.0)
+        with pytest.raises(EvaluationError, match="at least one Generator"):
+            simulate_hetero_thinning([0.0], [4], spec, [])
+        with pytest.raises(EvaluationError, match="at least one Generator"):
+            simulate_hetero_thinning_gp([0.0], [4], BrownianMotionKernel(), 3.0, [])
 
 
 def test_gp_discards_at_most_one_candidate_per_sampling_time():
@@ -374,7 +382,7 @@ def test_gp_discards_at_most_one_candidate_per_sampling_time():
     # replicate there; no further candidates are drawn beyond it
     st, sc = [0.0, 0.3, 0.8], [3, 2, 2]
     kernel = BrownianMotionKernel(theta=1.0, init_var=1.0)
-    recs = [simulate_hetero_thinning_gp(st, sc, kernel, 3.0, gen) for gen in _gens(range(200))]
+    recs = [simulate_hetero_thinning_gp(st, sc, kernel, 3.0, [gen])[0] for gen in _gens(range(200))]
     discarded = np.array([rec.n_proposals - len(rec.gp_field.times) for rec in recs])
     assert np.all(discarded >= 0)
     assert np.all(discarded <= len(st) - 1)

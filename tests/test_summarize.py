@@ -7,7 +7,7 @@ import pytest
 
 from coalgp.errors import EvaluationError
 from coalgp.genealogy import CoalescentData
-from coalgp.gp_prior import BrownianMotionKernel
+from coalgp.gp_prior import BrownianMotionKernel, LatentField
 from coalgp.likelihood import ne_from_f
 from coalgp.mcmc import ChainDraw, ChainOutput, McmcConfig, run_chain
 from coalgp.summarize import (
@@ -37,9 +37,7 @@ def make_draw(iteration, times, values, is_coal, theta=1.0, lam=2.0):
         iteration=iteration,
         theta=theta,
         lam=lam,
-        times=np.asarray(times, dtype=float),
-        values=np.asarray(values, dtype=float),
-        is_coal=np.asarray(is_coal, dtype=bool),
+        field=LatentField(times, values, is_coal),
         log_posterior=0.0,
     )
 
