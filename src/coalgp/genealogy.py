@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .errors import NewickError, ValidationError, require_keys
 from .gp_prior import run_rank
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
-_LABEL_STOP = set("(),:;[]")
+_SPACE_RE = re.compile(r"\s*")
+_LABEL_RE = re.compile(r"[^\s(),:;\[\]]*")  # an unquoted label runs to a space or a delimiter
 DATE_ATOL = 1e-6  # a tip date may miss its branch-length height by this much
 HEIGHT_ATOL = 1e-9  # tip heights this close form one sampling event
 
@@ -55,42 +56,37 @@ class Genealogy:
     """A rooted, strictly binary, dated tree.
 
     Heights are backward times: 0 at the most recent tip, increasing toward
-    the root.  Construction validates the binary shape and that every parent
-    is strictly older than its children.
+    the root.  Construction validates the binary shape, finite depths from
+    the root and that every parent is strictly older than its children.
     """
 
     def __init__(self, root: TreeNode):
         self.root = root
         self.nodes: list[TreeNode] = []
+        root.height = 0.0  # a node's depth below the root, until it is turned into its height
         stack = [root]
         while stack:
             node = stack.pop()
-            self.nodes.append(node)
-            for child in node.children:
-                if child.branch_length is None:
-                    raise ValidationError("every non-root node needs a branch length")
-                stack.append(child)
-        for node in self.nodes:
             if node.children and len(node.children) != 2:
                 raise ValidationError(
                     f"tree is not strictly binary: a node has {len(node.children)} children"
                 )
+            self.nodes.append(node)
+            for child in node.children:
+                if child.branch_length is None:
+                    raise ValidationError("every non-root node needs a branch length")
+                child.height = node.height + child.branch_length
+                if not math.isfinite(child.height):
+                    raise ValidationError(f"branch length {child.branch_length} gives root-to-tip depth "
+                                          f"{child.height}, which is not finite")
+                stack.append(child)
         self.tips = [n for n in self.nodes if n.is_tip]
         self.internals = [n for n in self.nodes if not n.is_tip]
         if len(self.tips) < 2:
             raise ValidationError("a genealogy needs at least two tips")
-        self._assign_heights()
-
-    def _assign_heights(self):
-        depth = {id(self.root): 0.0}
-        order = [self.root]
-        for node in order:
-            for child in node.children:
-                depth[id(child)] = depth[id(node)] + child.branch_length
-                order.append(child)
-        max_tip_depth = max(depth[id(t)] for t in self.tips)
-        for node in order:
-            node.height = max_tip_depth - depth[id(node)]
+        newest = max(t.height for t in self.tips)
+        for node in self.nodes:
+            node.height = newest - node.height
         for node in self.internals:
             for child in node.children:
                 if not node.height > child.height:
@@ -128,9 +124,7 @@ class Genealogy:
 
 
 def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
+    return _SPACE_RE.match(text, i).end()
 
 
 def _parse_label(text: str, i: int) -> tuple[str, int]:
@@ -140,10 +134,8 @@ def _parse_label(text: str, i: int) -> tuple[str, int]:
         if j < 0:
             raise NewickError("unterminated quoted label", i)
         return text[i + 1 : j], j + 1
-    j = i
-    while j < len(text) and not text[j].isspace() and text[j] not in _LABEL_STOP:
-        j += 1
-    return text[i:j], j
+    m = _LABEL_RE.match(text, i)
+    return m.group(0), m.end()
 
 
 def _parse_number(text: str, i: int) -> tuple[float, int]:
@@ -311,11 +303,7 @@ class CoalescentData:
         return float(self.coal_times[-1])
 
     def to_json(self) -> dict:
-        return {
-            "coal_times": self.coal_times.tolist(),
-            "samp_times": self.samp_times.tolist(),
-            "samp_counts": self.samp_counts.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CoalescentData":

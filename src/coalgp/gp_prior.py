@@ -17,7 +17,7 @@ theta * Q(1), which the Gibbs update for theta relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -196,23 +196,21 @@ class OrnsteinUhlenbeckKernel(_MarkovKernel):
 
 
 GPKernel = BrownianMotionKernel | OrnsteinUhlenbeckKernel
+_KINDS = {BrownianMotionKernel: "bm", OrnsteinUhlenbeckKernel: "ou"}  # each kernel's name in JSON records
 
 
 def kernel_to_json(kernel: GPKernel) -> dict:
-    if isinstance(kernel, BrownianMotionKernel):
-        return {"kind": "bm", "theta": kernel.theta, "init_var": kernel.init_var}
-    return {"kind": "ou", "theta": kernel.theta, "phi": kernel.phi}
+    return {"kind": _KINDS[type(kernel)], **asdict(kernel)}
 
 
 def kernel_from_json(obj: dict) -> GPKernel:
     kind = require_keys(obj, ("kind",), "kernel")["kind"]
-    if kind == "bm":
-        require_keys(obj, ("theta", "init_var"), "bm kernel")
-        return BrownianMotionKernel(theta=obj["theta"], init_var=obj["init_var"])
-    if kind == "ou":
-        require_keys(obj, ("theta", "phi"), "ou kernel")
-        return OrnsteinUhlenbeckKernel(theta=obj["theta"], phi=obj["phi"])
-    raise ValidationError(f"unknown kernel kind {kind!r}")
+    cls = next((c for c, name in _KINDS.items() if name == kind), None)
+    if cls is None:
+        raise ValidationError(f"unknown kernel kind {kind!r}")
+    names = [f.name for f in fields(cls)]
+    require_keys(obj, names, f"{kind} kernel")
+    return cls(**{name: obj[name] for name in names})
 
 
 def build_precision(times: np.ndarray, kernel: GPKernel) -> TridiagPrecision:

@@ -363,8 +363,8 @@ def simulate_hetero_thinning_gp(
         n_proposals[walk.ids] += 1
         inside = walk.step(e, pairs, lam, walk.boundary())
         t = walk.t  # a dropped candidate's f is drawn at the next epoch's start and discarded
-        rho, v = kernel.innovation(left_t, t)
-        f = rho * left_f + np.sqrt(v / kernel.theta) * z
+        mean, var = kernel.cond_moments_many(t, left_t, left_f, math.inf, 0.0)
+        f = mean + np.sqrt(var) * z
         accept = u <= sigmoid(f)
         kept.append(np.stack((walk.ids, t, f, accept, walk.done))[:, inside])
         if walk.rounds.max() > MAX_INTERVAL_ROUNDS:

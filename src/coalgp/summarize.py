@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,13 +45,7 @@ class MetricReport:
     grid_size: int
 
     def to_json(self) -> dict:
-        return {
-            "sre": self.sre,
-            "mrw": self.mrw,
-            "envelope": self.envelope,
-            "variation": self.variation,
-            "grid_size": self.grid_size,
-        }
+        return asdict(self)
 
     def write_json(self, fh):
         json.dump(self.to_json(), fh, indent=2)

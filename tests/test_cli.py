@@ -430,6 +430,20 @@ class TestExtractCommand:
         assert "not finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "newick, named",
+        [("(A:1e999,B:1);", "branch length inf"),
+         ("((A:1e308,B:1e308):1e308,C:1e308);", "root-to-tip depth inf")],
+    )
+    def test_non_finite_depth_exits_2(self, tmp_path, capsys, newick, named):
+        tree = tmp_path / "t.nwk"
+        tree.write_text(newick)
+        out = tmp_path / "data.json"
+        assert run(["extract", "--tree", tree, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_extracted_json_feeds_infer(self, tmp_path):
         tree = tmp_path / "t.nwk"
         tree.write_text(TREE)

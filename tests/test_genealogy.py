@@ -8,13 +8,16 @@ import pytest
 from coalgp.errors import NewickError, ValidationError
 from coalgp.genealogy import (
     CoalescentData,
+    Genealogy,
     build_interval_grid,
     coalescent_factor,
     extract_coalescent_data,
     parse_newick,
     read_tip_dates,
 )
-from conftest import random_hetero_data
+from coalgp.simulate import simulate_time_transform
+from coalgp.trajectories import ConstantTrajectory
+from conftest import random_hetero_data, random_tree, two_pass_heights
 
 TWO_TIP = "(A:1.0,B:1.0);"
 THREE_TIP_ISO = "((A:0.3,B:0.3):0.7,C:1.0);"
@@ -58,6 +61,12 @@ class TestParseNewick:
     def test_quoted_labels_and_whitespace(self):
         g = parse_newick(" ( 'tip one' :1.0 , B:1.0 ) ; ")
         assert sorted(t.label for t in g.tips) == ["B", "tip one"]
+
+    def test_unicode_whitespace_separates_tokens(self):
+        # whitespace is what str.isspace accepts: no-break and em spaces too,
+        # and the \x1c-\x1f separators
+        g = parse_newick("(\u00a0A\u2003:1.0,\x1fB:1.0\u3000)\x1c;")
+        assert sorted(t.label for t in g.tips) == ["A", "B"]
 
     @pytest.mark.parametrize(
         "newick",
@@ -104,6 +113,35 @@ class TestParseNewick:
     def test_sidecar_dates_missing_tip(self):
         with pytest.raises(ValidationError, match="missing"):
             parse_newick(TWO_TIP, tip_dates={"A": 2000.0})
+
+
+def _caterpillar(n: int) -> str:
+    """n tips nested one level per tip, every tip at height 0."""
+    newick = "(A0:1,A1:1)"
+    for k in range(2, n):
+        newick = f"({newick}:1,A{k}:{k})"
+    return newick + ";"
+
+
+def _serial_data(rng) -> CoalescentData:
+    """1000 tips, 20 at each of 50 sampling times, under constant N_e."""
+    samp_times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2.0, 49))])
+    samp_counts = np.full(50, 20)
+    coal = simulate_time_transform(ConstantTrajectory(1.0), rng, samp_times, samp_counts, 1)[0]
+    return CoalescentData(coal, samp_times, samp_counts)
+
+
+@pytest.mark.parametrize("tree", ["caterpillar-3000", "random-hetero", "serial-kingman-1000"])
+def test_one_pass_heights_match_two_pass_reference(tree):
+    rng = np.random.default_rng(5)
+    if tree == "caterpillar-3000":
+        g = parse_newick(_caterpillar(3000))
+    else:
+        data = random_hetero_data(rng, max_batches=6) if tree == "random-hetero" else _serial_data(rng)
+        g = Genealogy(random_tree(rng, data))
+    reference = two_pass_heights(g.root)
+    heights = np.array([n.height for n in g.nodes])
+    assert heights.tobytes() == np.array([reference[id(n)] for n in g.nodes]).tobytes()
 
 
 class TestExtract:

@@ -286,6 +286,21 @@ class TestConditionalMoments:
         assert ou.cond_moments_many(1.0, -np.inf, 0.0, np.inf, 0.0) == (0.0, pytest.approx(2.0))
 
     @pytest.mark.parametrize("kind", ["bm", "ou"])
+    def test_forward_conditional_is_the_innovation_step(self, kind, rng):
+        # with no right neighbour the conditional is the innovation step
+        # exactly: the GP thinner draws through cond_moments_many, and its
+        # same-seed output matches the step (rho * left_f, v / theta)
+        kernel = random_kernel(rng, kind)
+        t = np.sort(rng.uniform(0.0, 4.0, size=60))
+        left_t = t - 10.0 ** rng.uniform(-6, 0.5, size=60)
+        left_f = 3.0 * rng.standard_normal(60)
+        left_t[::4], left_f[::4] = -np.inf, 0.0
+        mean, var = kernel.cond_moments_many(t, left_t, left_f, np.inf, 0.0)
+        rho, v = kernel.innovation(left_t, t)
+        assert np.all(mean == rho * left_f)
+        assert np.all(var == v / kernel.theta)
+
+    @pytest.mark.parametrize("kind", ["bm", "ou"])
     def test_innovation_matches_dense_covariance(self, kind, rng):
         # rho = C01 / C00 and v / theta = C11 - C01^2 / C00; from t0 = -inf
         # the innovation is the marginal law (BM from its pinned start)
