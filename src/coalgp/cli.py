@@ -19,6 +19,8 @@ its requested output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -33,6 +35,7 @@ from .genealogy import CoalescentData, extract_coalescent_data, parse_newick, re
 from .gp_prior import BrownianMotionKernel, OrnsteinUhlenbeckKernel, kernel_to_json
 from .mcmc import ChainOutput, McmcConfig, run_chain
 from .simulate import (
+    DEFAULT_PROPOSAL_CAP,
     DeterministicSpec,
     ks_against_oracle,
     simulate_hetero_thinning,
@@ -165,13 +168,13 @@ def _load_data(args) -> CoalescentData:
     return extract_coalescent_data(g)
 
 
-def _run_one_chain(data: CoalescentData, cfg: McmcConfig, kernel, label: str, path: Path) -> ChainOutput:
-    """Run one chain; on an abort, write its state dump next to ``path`` and
+def _run_one_chain(data: CoalescentData, kernel, cfg: McmcConfig, c: int, path: Path) -> ChainOutput:
+    """Run chain ``c``; on an abort, write its state dump next to ``path`` and
     re-raise."""
 
     def progress(done, total, rates):
         bits = " ".join(f"{k}={v:.2f}" for k, v in rates.items())
-        print(f"[{label}] iteration {done}/{total}  acceptance: {bits}", file=sys.stderr)
+        print(f"[chain {c}] iteration {done}/{total}  acceptance: {bits}", file=sys.stderr)
 
     try:
         return run_chain(data, cfg, kernel, progress=progress)
@@ -186,38 +189,36 @@ def _run_one_chain(data: CoalescentData, cfg: McmcConfig, kernel, label: str, pa
 def cmd_infer(args) -> int:
     if (args.tree is None) == (args.data is None):
         raise ValidationError("exactly one of --tree or --data must be given")
-    data = _load_data(args)
     kernel = _build_kernel(args)
+    cfg = McmcConfig(
+        iterations=args.iters,
+        burn_in=args.burnin,
+        thin=args.thin,
+        theta_alpha=args.alpha,
+        theta_beta=args.beta,
+        lambda_hat=args.lambda_hat,
+        lambda_eps=args.eps,
+        lambda_halfwidth=args.halfwidth,
+        rj_sweeps=args.rj_sweeps,
+        location_moves=args.location_moves,
+    )
+    data = _load_data(args)
     out = _out_path(args.out)
     n_chains = args.chains
-    cfgs, paths = [], []
-    for c in range(n_chains):
-        cfgs.append(
-            McmcConfig(
-                iterations=args.iters,
-                burn_in=args.burnin,
-                thin=args.thin,
-                seed=int(np.random.SeedSequence(args.seed, spawn_key=(c,)).generate_state(1)[0]),
-                theta_alpha=args.alpha,
-                theta_beta=args.beta,
-                lambda_hat=args.lambda_hat,
-                lambda_eps=args.eps,
-                lambda_halfwidth=args.halfwidth,
-                rj_sweeps=args.rj_sweeps,
-                location_moves=args.location_moves,
-            )
-        )
-        paths.append(
-            out if n_chains == 1 else Path(f"{out.with_suffix('')}_chain{c}{out.suffix or '.jsonl'}")
-        )
-    labels = [f"chain {c}" for c in range(n_chains)]
+    seeds = np.random.SeedSequence(args.seed).spawn(n_chains)  # chain c's spawn key is (c,)
+    cfgs = [dataclasses.replace(cfg, seed=int(s.generate_state(1)[0])) for s in seeds]
+    paths = [
+        out if n_chains == 1 else Path(f"{out.with_suffix('')}_chain{c}{out.suffix or '.jsonl'}")
+        for c in range(n_chains)
+    ]
+    run = functools.partial(_run_one_chain, data, kernel)
     if args.workers > 1 and n_chains > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            chains = list(pool.map(_run_one_chain, [data] * n_chains, cfgs, [kernel] * n_chains, labels, paths))
+            chains = list(pool.map(run, cfgs, range(n_chains), paths))
     else:
-        chains = [_run_one_chain(data, cfgs[c], kernel, labels[c], paths[c]) for c in range(n_chains)]
+        chains = list(map(run, cfgs, range(n_chains), paths))
     for path, chain in zip(paths, chains):
         with open(path, "w") as fh:
             meta = _meta(args, args.seed)
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--window", type=_real, help="lookahead width for the local-bound envelope")
     sim.add_argument("--record-latent", action="store_true", help="record thinned points (deterministic runs)")
     sim.add_argument(
-        "--proposal-cap", type=_count, default=10_000_000,
+        "--proposal-cap", type=_count, default=DEFAULT_PROPOSAL_CAP,
         help="candidate rounds allowed per coalescent interval, envelope-window steps that propose nothing included",
     )
     sim.add_argument("--replicates", type=_count, default=1)
@@ -341,13 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--theta", type=_real, default=1.0, help="initial GP precision (resampled)")
     inf.add_argument("--init-var", type=_real, default=100.0)
     inf.add_argument("--phi", type=_real, default=1.0)
-    inf.add_argument("--lambda-hat", type=_real, default=10.0)
-    inf.add_argument("--eps", type=_real, default=0.01)
-    inf.add_argument("--alpha", type=_real, default=0.001)
-    inf.add_argument("--beta", type=_real, default=0.001)
-    inf.add_argument("--halfwidth", type=_real, help="lambda proposal half-width (default 0.1*lambda-hat)")
-    inf.add_argument("--rj-sweeps", type=int, default=1)
-    inf.add_argument("--location-moves", type=int, default=1)
+    inf.add_argument("--lambda-hat", type=_real, default=McmcConfig.lambda_hat)
+    inf.add_argument("--eps", type=_real, default=McmcConfig.lambda_eps)
+    inf.add_argument("--alpha", type=_real, default=McmcConfig.theta_alpha)
+    inf.add_argument("--beta", type=_real, default=McmcConfig.theta_beta)
+    inf.add_argument("--halfwidth", type=_real, default=McmcConfig.lambda_halfwidth,
+                     help="lambda proposal half-width (default 0.1*lambda-hat)")
+    inf.add_argument("--rj-sweeps", type=int, default=McmcConfig.rj_sweeps)
+    inf.add_argument("--location-moves", type=int, default=McmcConfig.location_moves)
     inf.add_argument("--chains", type=_count, default=1)
     inf.add_argument("--workers", type=_count, default=1, help="processes running the chains")
     inf.add_argument("--seed", type=int, default=0)

@@ -102,8 +102,8 @@ class LambdaPrior:
     """Mixture prior for the thinning bound: uniform mass eps below the best
     guess ``lam_hat``, an exponential tail with scale ``lam_hat`` above it."""
 
-    lam_hat: float = 10.0
-    eps: float = 0.01
+    lam_hat: float
+    eps: float
 
     def __post_init__(self):
         if self.lam_hat <= 0:

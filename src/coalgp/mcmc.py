@@ -63,6 +63,10 @@ _TALLIED = ("rj_add", "rj_remove", "location", "ess", "lambda")
 
 @dataclass
 class McmcConfig:
+    """One chain's run length, seed, priors and moves; ``infer``'s flags default to
+    these fields.  ``lambda_prior`` and ``halfwidth`` are derived once, here; the LambdaPrior
+    raises ValidationError for ``lambda_hat <= 0`` or ``lambda_eps`` outside (0, 1)."""
+
     iterations: int = 10_000
     burn_in: int = 1_000
     thin: int = 1
@@ -80,21 +84,15 @@ class McmcConfig:
             raise ValueError("iterations, burn_in, thin must be positive (burn_in >= 0)")
         if self.burn_in >= self.iterations:
             raise ValueError("burn_in must be smaller than iterations")
-        for name in ("theta_alpha", "theta_beta", "lambda_hat", "lambda_eps"):
+        for name in ("theta_alpha", "theta_beta"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        self.lambda_prior = LambdaPrior(self.lambda_hat, self.lambda_eps)
         if self.lambda_halfwidth is not None and not self.lambda_halfwidth > 0:
             raise ValueError("lambda_halfwidth must be positive (None: 0.1 * lambda_hat)")
         if self.rj_sweeps < 0 or self.location_moves < 0:
             raise ValueError("per-iteration move counts must be non-negative")
-
-    @property
-    def halfwidth(self) -> float:
-        return self.lambda_halfwidth if self.lambda_halfwidth is not None else 0.1 * self.lambda_hat
-
-    @property
-    def lambda_prior(self) -> LambdaPrior:
-        return LambdaPrior(self.lambda_hat, self.lambda_eps)
+        self.halfwidth = self.lambda_halfwidth if self.lambda_halfwidth is not None else 0.1 * self.lambda_hat
 
 
 @dataclass
@@ -377,8 +375,6 @@ def elliptical_slice_step(f, nu, loglik, rng: np.random.Generator):
 def ess_update(state: ChainState, prior: TridiagPrecision, rng: np.random.Generator):
     """One elliptical slice transition on the full f-vector."""
     field = state.field
-    if field.size == 0:
-        return
     nu = prior.scaled(state.theta).sample_zero_mean(rng)
     signs = np.where(field.is_coal, 1.0, -1.0)
     loglik = lambda v: float(np.sum(log_sigmoid(signs * v)))  # noqa: E731
@@ -488,8 +484,8 @@ def _state_dump(state: ChainState, iteration: int) -> dict:
         "lambda": state.lam,
         "field_size": state.field.size,
         "n_latent": int(np.sum(~state.field.is_coal)),
-        "f_min": float(vals.min()) if len(vals) else None,
-        "f_max": float(vals.max()) if len(vals) else None,
+        "f_min": float(vals.min()),
+        "f_max": float(vals.max()),
     }
 
 

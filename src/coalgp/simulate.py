@@ -85,10 +85,10 @@ class DeterministicSpec:
 class SimulationRecord:
     """Output of one simulation run.
 
-    ``latent_by_interval`` groups thinned candidate times by the coalescent
-    event that closed them (ascending); empty for runs that do not record
-    rejections.  ``gp_field`` holds f-values at coalescent and latent times for
-    GP runs, None otherwise.
+    ``latent_by_interval`` is the sorted thinned candidate times cut at
+    ``coal_times``: group j lies between coalescent times j - 1 and j; empty
+    for runs that do not record rejections.  ``gp_field`` holds f-values at
+    coalescent and latent times for GP runs, None otherwise.
     """
 
     samp_times: np.ndarray
@@ -255,9 +255,10 @@ def _runs(reps: int, ids: np.ndarray, *cols) -> list[list[np.ndarray]]:
     return [np.split(c[order], cuts) for c in cols]
 
 
-def _by_event(times: np.ndarray, events: np.ndarray, n_events: int) -> list[np.ndarray]:
-    """Latent times grouped by the coalescent event that closed them."""
-    return np.split(times, np.searchsorted(events, np.arange(1, n_events)))
+def _by_event(latent: np.ndarray, coal: np.ndarray) -> list[np.ndarray]:
+    """Sorted latent times cut at the coalescent times: group j lies between coal[j - 1] and coal[j]."""
+    ends = np.searchsorted(latent, coal).tolist()
+    return [latent[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def simulate_hetero_thinning(
@@ -286,7 +287,7 @@ def simulate_hetero_thinning(
     draws = _Draws(rngs, ("standard_exponential", "random"))
     coal = np.empty((reps, walk.n_events))
     n_proposals = np.zeros(reps, dtype=int)
-    latent = []  # per round, rows replicate, time, event index of the rejections
+    latent = []  # per round, rows replicate and time of the rejections
     while len(walk.ids):
         pairs = walk.pairs()
         e, u = draws.next(walk.ids)
@@ -316,13 +317,13 @@ def simulate_hetero_thinning(
         coal[walk.ids[accept], walk.done[accept]] = walk.t[accept]
         if record_latent:
             reject = inside & ~accept
-            latent.append(np.stack((walk.ids, walk.t, walk.done))[:, reject])
+            latent.append(np.stack((walk.ids, walk.t))[:, reject])
         walk.coalesce(accept)
         walk.compact()
     groups = [[] for _ in range(reps)]
     if record_latent:
-        runs = _runs(reps, *np.concatenate(latent, axis=1))
-        groups = [_by_event(lt, le, walk.n_events) for lt, le in zip(*runs)]
+        (runs,) = _runs(reps, *np.concatenate(latent, axis=1))
+        groups = [_by_event(lt, c) for lt, c in zip(runs, coal)]
     return [
         walk.record(coal_times=coal[r], latent_by_interval=groups[r], n_proposals=int(n_proposals[r]))
         for r in range(reps)
@@ -356,7 +357,7 @@ def simulate_hetero_thinning_gp(
     draws = _Draws(rngs, ("standard_exponential", "random", "standard_normal"))
     n_proposals = np.zeros(reps, dtype=int)
     left_t, left_f = np.full(reps, -math.inf), np.zeros(reps)  # last retained point
-    kept = []  # per round, rows replicate, time, f-value, accepted, event index
+    kept = []  # per round, rows replicate, time, f-value, accepted
     while len(walk.ids):
         pairs = walk.pairs()
         e, u, z = draws.next(walk.ids)
@@ -366,7 +367,7 @@ def simulate_hetero_thinning_gp(
         mean, var = kernel.cond_moments_many(t, left_t, left_f, math.inf, 0.0)
         f = mean + np.sqrt(var) * z
         accept = u <= sigmoid(f)
-        kept.append(np.stack((walk.ids, t, f, accept, walk.done))[:, inside])
+        kept.append(np.stack((walk.ids, t, f, accept))[:, inside])
         if walk.rounds.max() > MAX_INTERVAL_ROUNDS:
             j = int(np.argmax(walk.rounds))
             raise SimulationError(f"replicate {walk.ids[j]} took more than {MAX_INTERVAL_ROUNDS} GP candidate "
@@ -375,17 +376,17 @@ def simulate_hetero_thinning_gp(
         event = inside & accept
         walk.coalesce(event)
         left_t, left_f = walk.compact(left_t, left_f)
-    ids, times, values, is_coal, events = np.concatenate(kept, axis=1)
+    ids, times, values, is_coal = np.concatenate(kept, axis=1)
     del kept
-    runs = _runs(reps, ids, times, values, is_coal.astype(bool), events)
+    runs = _runs(reps, ids, times, values, is_coal.astype(bool))
     return [
         walk.record(
             coal_times=ft[fc],
-            latent_by_interval=_by_event(ft[~fc], fe[~fc], walk.n_events),
+            latent_by_interval=_by_event(ft[~fc], ft[fc]),
             gp_field=LatentField(ft, fv, fc),
             n_proposals=int(n_proposals[r]),
         )
-        for r, (ft, fv, fc, fe) in enumerate(zip(*runs))
+        for r, (ft, fv, fc) in enumerate(zip(*runs))
     ]
 
 

@@ -660,6 +660,20 @@ def test_bad_parameter_values_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.nwk"]
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--eps", 1.5, "eps must lie strictly between 0 and 1"), ("--lambda-hat", 0, "lam_hat must be positive")],
+    ids=["eps", "lambda-hat"],
+)
+def test_lambda_prior_flags_checked_before_input(tmp_path, capsys, monkeypatch, flag, value, message):
+    # the chain config is built before --tree is opened, so a bad prior is
+    # reported although the tree file does not exist
+    monkeypatch.chdir(tmp_path)
+    assert run(["infer", "--tree", "missing.nwk", flag, value, "--out", "x.jsonl"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _exit_code(argv) -> int:
     """Exit code of one in-process call; the parser's own rejections exit
     through SystemExit."""

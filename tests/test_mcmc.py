@@ -274,6 +274,17 @@ class TestMhLambda:
         # lam_hat, so exactly 0 in the log)
         assert lambda_log_ratio(2.0, 4.0, 0, 0.0, prior) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"lambda_eps": 1.5}, "eps must lie"), ({"lambda_eps": 0.0}, "eps must lie"),
+         ({"lambda_hat": 0.0}, "lam_hat must be positive")],
+        ids=["eps-above-1", "eps-0", "lambda-hat-0"],
+    )
+    def test_config_checks_the_prior_at_construction(self, bad, message):
+        # the config builds its LambdaPrior, whose own check rejects the value
+        with pytest.raises(ValidationError, match=message):
+            McmcConfig(iterations=10, burn_in=0, **bad)
+
     def test_chain_never_leaves_support(self, rng):
         data = small_data()
         cfg = McmcConfig(iterations=800, burn_in=0, thin=1, seed=3, lambda_hat=2.0)

@@ -29,6 +29,14 @@ def latent_times(rec):
     return np.concatenate([np.zeros(0), *(np.asarray(g, dtype=float) for g in rec.latent_by_interval)])
 
 
+def _gens(seeds):
+    return [np.random.Generator(np.random.Philox(s)) for s in seeds]
+
+
+SCHEDULES = [([0.0], [8]), ([0.0, 0.3, 0.8], [3, 2, 2])]
+SEEDS = list(range(40, 52))
+
+
 class _FixedExponentials:
     """Stub generator feeding predetermined unit-exponential draws."""
 
@@ -164,17 +172,39 @@ class TestHeteroThinning:
 
 
 class TestGpThinning:
-    def test_record_structure(self, rng):
-        kernel = BrownianMotionKernel(theta=2.0, init_var=1.0)
-        rec = simulate_hetero_thinning_gp([0.0], [8], kernel, 3.0, [rng])[0]
-        assert len(rec.coal_times) == 7
-        assert np.all(np.diff(rec.coal_times) > 0)
-        fld = rec.gp_field
-        assert np.array_equal(fld.times[fld.is_coal], rec.coal_times)
-        assert np.array_equal(np.sort(np.concatenate([rec.coal_times, latent_times(rec)])), fld.times)
-        bounds = np.concatenate([[0.0], rec.coal_times])
-        for j, group in enumerate(rec.latent_by_interval):
-            assert np.all(group > bounds[j]) and np.all(group < bounds[j + 1])
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=["iso", "serial"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            BrownianMotionKernel(theta=2.0, init_var=1.0),
+            OrnsteinUhlenbeckKernel(theta=2.0, phi=1.5),
+            DeterministicSpec(ConstantTrajectory(1.0), lam=3.0),  # rejects two in three
+            DeterministicSpec(ExpGrowthTrajectory(25.0, 5.0)),
+            DeterministicSpec(BoomBustTrajectory()),
+        ],
+        ids=["bm", "ou", "constant", "expgrowth", "boombust"],
+    )
+    def test_record_structure(self, rng, schedule, model):
+        # latent group j lies strictly between coalescent times j - 1 and j,
+        # for GP records and for deterministic ones that record rejections
+        st, sc = schedule
+        gens = [rng, *_gens(SEEDS[:5])]
+        if isinstance(model, DeterministicSpec):
+            recs = simulate_hetero_thinning(st, sc, model, gens, record_latent=True)
+        else:
+            recs = simulate_hetero_thinning_gp(st, sc, model, 3.0, gens)
+        assert sum(len(latent_times(rec)) for rec in recs) > 0
+        for rec in recs:
+            assert len(rec.coal_times) == len(rec.latent_by_interval) == sum(sc) - 1
+            assert np.all(np.diff(rec.coal_times) > 0)
+            bounds = np.concatenate([[0.0], rec.coal_times])
+            for j, group in enumerate(rec.latent_by_interval):
+                assert np.all(group > bounds[j]) and np.all(group < bounds[j + 1])
+            fld = rec.gp_field
+            if fld is not None:
+                assert np.array_equal(fld.times[fld.is_coal], rec.coal_times)
+                assert np.array_equal(latent_times(rec), fld.times[~fld.is_coal])
+                assert np.array_equal(np.sort(np.concatenate([rec.coal_times, latent_times(rec)])), fld.times)
 
     def test_saturated_sigmoid_reduces_to_constant(self, rng):
         # a nearly degenerate OU keeps f at 0, so acceptance is 1/2 and the
@@ -251,10 +281,6 @@ def test_record_json_round_trip(rng):
     assert len(latent_times(rec3)) > 0
 
 
-def _gens(seeds):
-    return [np.random.Generator(np.random.Philox(s)) for s in seeds]
-
-
 def _assert_same_record(a, b):
     assert np.array_equal(a.coal_times, b.coal_times)
     assert a.n_proposals == b.n_proposals
@@ -266,10 +292,6 @@ def _assert_same_record(a, b):
         assert np.array_equal(a.gp_field.times, b.gp_field.times)
         assert np.array_equal(a.gp_field.values, b.gp_field.values)
         assert np.array_equal(a.gp_field.is_coal, b.gp_field.is_coal)
-
-
-SCHEDULES = [([0.0], [8]), ([0.0, 0.3, 0.8], [3, 2, 2])]
-SEEDS = list(range(40, 52))
 
 
 class TestBatchComposition:
